@@ -131,7 +131,6 @@ int main() {
     scfg.pool.max_replica_depth = 0;
     scfg.pool.max_client_inflight = 0;
     scfg.pool.serve.max_batch = 8;
-    scfg.pool.serve.max_wait = std::chrono::microseconds(2000);
     scfg.pool.serve.cache_capacity = 0;  // distinct inputs; measure real forwards
     net::NetServer server(scfg, make_model);
 
@@ -180,7 +179,6 @@ int main() {
     scfg.pool.max_replica_depth = 2;
     scfg.pool.max_client_inflight = 0;
     scfg.pool.serve.max_batch = 4;
-    scfg.pool.serve.max_wait = std::chrono::microseconds(500);
     scfg.pool.serve.cache_capacity = 0;
     net::NetServer server(scfg, make_model);
 
@@ -233,7 +231,6 @@ int main() {
     scfg.pool.max_replica_depth = 0;
     scfg.pool.max_client_inflight = 0;
     scfg.pool.serve.max_batch = 8;
-    scfg.pool.serve.max_wait = std::chrono::microseconds(2000);
     scfg.pool.serve.cache_capacity = 64;
     net::NetServer server(scfg, make_model);
 
@@ -327,7 +324,6 @@ int main() {
       scfg.pool.max_replica_depth = overload ? 2 : 0;
       scfg.pool.max_client_inflight = 0;
       scfg.pool.serve.max_batch = overload ? 4 : 8;
-      scfg.pool.serve.max_wait = std::chrono::microseconds(overload ? 500 : 2000);
       scfg.pool.serve.cache_capacity = 0;
       net::NetServer server(scfg, make_model);
       std::vector<std::thread> threads;

@@ -143,10 +143,10 @@ int main() {
   for (int clients : {1, 2, 4, 8}) {
     serve::ServeConfig scfg;
     scfg.max_batch = 8;
-    scfg.max_wait = std::chrono::microseconds(2000);
     scfg.cache_capacity = 0;  // distinct inputs; isolate the batching effect
     scfg.deterministic = true;
     auto serve_model = std::make_shared<core::CongestionForecaster>(cfg);
+    (void)serve_model->predict(inputs[0]);  // warm up (packs weights) like the baseline
     serve::ForecastServer server(scfg, std::move(serve_model));
     Timer t_srv;
     std::vector<std::thread> threads;
@@ -176,9 +176,9 @@ int main() {
   {
     serve::ServeConfig scfg;
     scfg.max_batch = 8;
-    scfg.max_wait = std::chrono::microseconds(2000);
     scfg.cache_capacity = 1024;
     auto serve_model = std::make_shared<core::CongestionForecaster>(cfg);
+    (void)serve_model->predict(inputs[0]);  // warm up (packs weights) like the baseline
     serve::ForecastServer server(scfg, std::move(serve_model));
     const Index pool = pool_size;
     Timer t_cache;
@@ -255,7 +255,6 @@ int main() {
     prof.start(std::chrono::microseconds(200));
     serve::ServeConfig scfg;
     scfg.max_batch = 8;
-    scfg.max_wait = std::chrono::microseconds(2000);
     scfg.cache_capacity = 0;
     auto serve_model = std::make_shared<core::CongestionForecaster>(cfg);
     serve::ForecastServer server(scfg, std::move(serve_model));

@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig scfg;
   scfg.max_batch = 4;
-  scfg.max_wait = std::chrono::microseconds(3000);
   serve::ForecastServer server(scfg, std::move(base), "base");
 
   const img::PixelGeometry geom(arch, dcfg.render_target_width);

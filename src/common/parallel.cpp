@@ -34,7 +34,7 @@ class Pool {
     for (auto& t : workers_) t.join();
   }
 
-  int workers() const { return total_workers_; }
+  int size() const { return total_workers_; }
 
   void run(Index n, const std::function<void(Index, Index)>& fn) {
     if (n <= 0) return;
@@ -163,7 +163,7 @@ Pool& pool() {
 
 }  // namespace
 
-int parallel_workers() { return pool().workers(); }
+int parallel_workers() { return pool().size(); }
 
 void set_parallel_workers(int workers) {
   std::lock_guard<std::mutex> lock(g_pool_mu);

@@ -59,8 +59,8 @@ struct PoolStats {
 
 /// Outcome of ReplicaPool::submit. When admitted, `future` resolves with the
 /// forecast and `slot` holds the admission slots (replica depth + client
-/// in-flight); drop it once the response has been delivered — that is the
-/// release admission control meters on.
+/// in-flight); drop it once the future has resolved, before writing the
+/// response — that is the release admission control meters on.
 struct Admission {
   ShedReason shed = ShedReason::kNone;
   int replica = -1;

@@ -345,8 +345,9 @@ struct NetServer::Connection {
         continue;
       }
 
-      // An admitted forecast: resolve, respond, then release the admission
-      // slot — the release point is what admission depth meters.
+      // An admitted forecast: resolve, release the admission slot, respond.
+      // Releasing before the write means a client that has read its answer
+      // never finds its request still counted in a replica's depth.
       bool failed = false;
       bool completed = false;
       {
@@ -368,6 +369,7 @@ struct NetServer::Connection {
           failed = true;
           server.metrics_.requests_failed.fetch_add(1, std::memory_order_relaxed);
         }
+        out.admission.slot.reset();
         if (!dead.load(std::memory_order_relaxed)) {
           const std::vector<std::uint8_t> encoded = encode_forecast_response(resp);
           if (send_all(fd, encoded.data(), encoded.size())) {
@@ -391,7 +393,6 @@ struct NetServer::Connection {
         server.metrics_.latency.record(latency_s, retained ? out.trace_id : 0);
       }
       server.watchdog_->complete(out.trace_id);
-      out.admission.slot.reset();
     }
   }
 };
@@ -485,13 +486,6 @@ void NetServer::log_loop() {
   while (!shut_down_.load(std::memory_order_relaxed)) {
     if (log_cv_.wait_for(lock, config_.metrics_log_period) == std::cv_status::no_timeout) {
       continue;  // woken for shutdown — loop re-checks the flag
-    }
-    if (config_.legacy_log) {
-      // Pre-PR-9 one-line text format, kept for one release behind
-      // `forecast_serve --log-format legacy`.
-      std::printf("%s\n", render_log_line(metrics_, pool_gauges()).c_str());
-      std::fflush(stdout);
-      continue;
     }
     const PoolGauges pool = pool_gauges();
     obs::Log::instance()

@@ -14,27 +14,7 @@ bool BatchQueue::push(PendingRequest& req) {
 
 std::vector<PendingRequest> BatchQueue::pop_batch() {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (queue_.empty()) {
-      if (closed_) return {};
-      cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-      continue;
-    }
-    if (static_cast<Index>(queue_.size()) >= max_batch_ || closed_) break;
-    // Wait for the batch to fill, but no longer than the oldest request's
-    // deadline — latency is bounded by max_wait regardless of traffic.
-    const auto deadline = queue_.front().enqueued_at + max_wait_;
-    cv_.wait_until(lock, deadline, [this] {
-      return closed_ || static_cast<Index>(queue_.size()) >= max_batch_;
-    });
-    // Another consumer may have drained the queue while we slept — loop back
-    // and re-evaluate from the top (which also handles close/drain).
-    if (queue_.empty()) continue;
-    if (closed_ || static_cast<Index>(queue_.size()) >= max_batch_ ||
-        std::chrono::steady_clock::now() >= deadline) {
-      break;
-    }
-  }
+  cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
   const std::size_t take = std::min<std::size_t>(queue_.size(), static_cast<std::size_t>(max_batch_));
   std::vector<PendingRequest> batch;
   batch.reserve(take);

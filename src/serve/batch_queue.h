@@ -1,10 +1,11 @@
 // Micro-batch request queue: the heart of the serving engine's coalescing.
 //
-// Producers push single requests; consumers pop whole batches. A batch is
-// released when either (a) max_batch requests are pending, or (b) max_wait
-// has elapsed since the *oldest* pending request arrived — so a lone request
-// pays at most max_wait of latency while bursts fill batches immediately.
-// close() stops intake but lets consumers drain what is queued; pop_batch
+// Producers push single requests; the consumer pops whole batches. Batching
+// is worker-driven: pop_batch waits only for the queue to be non-empty, then
+// takes everything queued, up to max_batch. It never holds a request back in
+// the hope of a partner, so a lone request pays no coalescing wait, while
+// under load a batch is whatever arrived during the previous forward pass.
+// close() stops intake but lets the consumer drain what is queued; pop_batch
 // returns an empty vector once the queue is closed and empty.
 #pragma once
 
@@ -34,16 +35,14 @@ struct PendingRequest {
 
 class BatchQueue {
  public:
-  BatchQueue(Index max_batch, std::chrono::microseconds max_wait)
-      : max_batch_(max_batch), max_wait_(max_wait) {
+  explicit BatchQueue(Index max_batch) : max_batch_(max_batch) {
     PP_CHECK_MSG(max_batch >= 1, "BatchQueue max_batch must be >= 1");
-    PP_CHECK_MSG(max_wait.count() >= 0, "BatchQueue max_wait must be >= 0");
   }
 
   /// Enqueues a request. Returns false (leaving `req` untouched) after close().
   bool push(PendingRequest& req);
 
-  /// Blocks until a batch is ready per the flush policy, then returns up to
+  /// Blocks until a request is queued, then returns everything queued, up to
   /// max_batch requests (oldest first). Empty vector = closed and drained.
   std::vector<PendingRequest> pop_batch();
 
@@ -55,7 +54,6 @@ class BatchQueue {
 
  private:
   const Index max_batch_;
-  const std::chrono::microseconds max_wait_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

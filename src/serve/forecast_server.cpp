@@ -14,9 +14,9 @@ namespace paintplace::serve {
 
 namespace {
 
-// Serving-side registry instruments, shared across replicas. The coalesce
-// wait histogram meters enqueue -> batch-start: the latency cost a request
-// pays to ride a bigger (cheaper per-sample) batch.
+// Serving-side registry instruments, shared across replicas. The batch wait
+// histogram meters enqueue -> batch-start: the time a request spends queued
+// behind the forward pass that was running when it arrived.
 struct ServeInstruments {
   obs::Histogram& batch_wait = obs::MetricsRegistry::global().histogram(
       "serve_batch_wait_seconds", "request enqueue to batch execution start");
@@ -40,14 +40,13 @@ ForecastServer::ForecastServer(const ServeConfig& config,
                                std::string label)
     : config_(config),
       cache_(config.cache_capacity),
-      queue_(config.max_batch, config.max_wait) {
-  PP_CHECK_MSG(config.workers >= 1, "ForecastServer needs at least one worker");
+      queue_(config.max_batch) {
   PP_CHECK_MSG(model != nullptr, "ForecastServer needs an initial model");
   PP_CHECK_MSG(config.deterministic || config.cache_capacity == 0,
                "stochastic inference with a result cache would serve stale noise draws; "
                "set deterministic=true or cache_capacity=0");
   if (config_.deterministic) model->set_deterministic_inference(true);
-  // Throws on unknown names before any worker starts, so a typo in a config
+  // Throws on unknown names before the worker starts, so a typo in a config
   // fails the server construction instead of silently serving on the default.
   if (!config_.backend.empty()) backend::set_active_backend(config_.backend);
   if (!config_.trace.empty()) obs::Tracer::instance().configure(config_.trace);
@@ -58,10 +57,7 @@ ForecastServer::ForecastServer(const ServeConfig& config,
     obs::Tracer::instance().sampler().configure(sampler_cfg);
   }
   registry_.publish(std::move(model), std::move(label));
-  workers_.reserve(static_cast<std::size_t>(config.workers));
-  for (int w = 0; w < config.workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+  worker_ = std::thread([this] { worker_loop(); });
 }
 
 ForecastServer::~ForecastServer() { shutdown(); }
@@ -71,7 +67,7 @@ std::future<ForecastResult> ForecastServer::submit(const nn::Tensor& input01) {
   PP_CHECK_MSG(!queue_.closed(), "ForecastServer::submit after shutdown");
   // Validate against the current model configuration up front — the same
   // check predict() would run, but failing in the caller's thread instead
-  // of inside a worker.
+  // of inside the worker.
   const ModelSnapshot snapshot = registry_.current();
   snapshot.model->validate_input(input01, /*batched=*/false);
 
@@ -120,8 +116,7 @@ void ForecastServer::shutdown() {
   if (shut_down_.exchange(true)) return;
   obs::FlightRecorder::record(obs::EventKind::kDrain, 0, "forecast server drain", 0, 0);
   queue_.close();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
+  worker_.join();
   // After the drain every span this server will ever record exists, so this
   // is the safe dump point. Only the server that configured the trace dumps
   // (idempotent across replicas sharing one path).
@@ -158,8 +153,9 @@ void ForecastServer::run_batch(std::vector<PendingRequest> batch) {
   try {
     const ModelSnapshot snapshot = registry_.current();
 
-    // Late cache check (another worker may have just computed a duplicate)
-    // plus within-batch coalescing: every distinct input runs exactly once.
+    // Late cache check (a previous batch may have just computed a duplicate
+    // that was queued behind it) plus within-batch coalescing: every distinct
+    // input runs exactly once.
     std::vector<Index> unique_of_request(batch.size(), -1);  // request -> unique slot
     std::vector<const nn::Tensor*> unique_inputs;
     std::vector<TensorKey> unique_keys;
@@ -192,13 +188,7 @@ void ForecastServer::run_batch(std::vector<PendingRequest> batch) {
       span.arg("coalesced", static_cast<std::int64_t>(coalesced));
     }
 
-    nn::Tensor heatmaps;
-    {
-      std::lock_guard<std::mutex> lock(model_mu_);
-      heatmaps = snapshot.model->predict_batch(nn::stack_batch(unique_inputs));
-    }
-    // Scoring is pure per-pixel decoding — no layer state — so it runs
-    // outside the lock and overlaps with the next batch's forward pass.
+    const nn::Tensor heatmaps = snapshot.model->predict_batch(nn::stack_batch(unique_inputs));
     const std::vector<double> scores = snapshot.model->congestion_scores(heatmaps);
     instruments().batch_exec.record(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - batch_start).count());

@@ -2,8 +2,8 @@
 //
 // Placement clients (SA placers, explorers, interactive tools) submit
 // rendered placements and get a future for the predicted heat map plus its
-// congestion score. Submissions are coalesced on a BatchQueue into
-// micro-batches that run as ONE batched generator forward pass (see
+// congestion score. One batch worker drains a BatchQueue: whatever queued up
+// during its previous forward pass runs as ONE batched generator forward (see
 // CongestionForecaster::predict_batch), amortizing the per-sample GEMM
 // inefficiency of the channel-fat inner U-Net levels. Identical placements
 // are served from a content-hash LRU cache without touching the model, and
@@ -11,9 +11,9 @@
 // ModelRegistry: in-flight batches finish on the model they started with.
 //
 // Threading contract: the server owns the model(s) handed to the registry —
-// forward passes are stateful (layer caches), so the server serializes them
-// behind a mutex. Don't call predict() on a published model from outside
-// while the server is running.
+// forward passes are stateful (layer caches), so only the server's single
+// batch worker runs them. Don't call predict() on a published model from
+// outside while the server is running.
 #pragma once
 
 #include <atomic>
@@ -31,9 +31,7 @@
 namespace paintplace::serve {
 
 struct ServeConfig {
-  Index max_batch = 8;  ///< flush a batch at this many pending requests
-  std::chrono::microseconds max_wait{2000};  ///< ... or this long after the oldest arrival
-  int workers = 1;      ///< batch-consumer threads (forward passes still serialize)
+  Index max_batch = 8;  ///< most requests one forward pass takes from the queue
   std::size_t cache_capacity = 1024;  ///< LRU entries; 0 disables caching
   /// Freeze the generator's inference noise z so predictions are a pure
   /// function of the input. Required for the cache to be sound; disable only
@@ -80,8 +78,8 @@ class ForecastServer {
   std::uint64_t publish_model(std::shared_ptr<core::CongestionForecaster> model,
                               std::string label);
 
-  /// Stops intake, serves every queued request, joins workers. Idempotent;
-  /// also runs on destruction.
+  /// Stops intake, serves every queued request, joins the worker.
+  /// Idempotent; also runs on destruction.
   void shutdown();
 
   ServeStats stats() const;
@@ -96,8 +94,7 @@ class ForecastServer {
   ModelRegistry registry_;
   ResultCache cache_;
   BatchQueue queue_;
-  std::mutex model_mu_;  // forward passes are stateful — one at a time
-  std::vector<std::thread> workers_;
+  std::thread worker_;  // the only thread that runs forward passes
   std::atomic<bool> shut_down_{false};
 
   mutable std::mutex stats_mu_;

@@ -25,7 +25,6 @@ NetServerConfig quick_config(int replicas = 1) {
   NetServerConfig cfg;
   cfg.pool.replicas = replicas;
   cfg.pool.serve.max_batch = 4;
-  cfg.pool.serve.max_wait = 2ms;
   return cfg;
 }
 

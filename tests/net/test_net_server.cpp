@@ -27,12 +27,17 @@ NetServerConfig quick_config(int replicas = 2) {
   NetServerConfig cfg;
   cfg.pool.replicas = replicas;
   cfg.pool.serve.max_batch = 4;
-  cfg.pool.serve.max_wait = 2ms;
   return cfg;
 }
 
 ModelFactory tiny_factory() {
   return [] { return serve::testfix::tiny_model(); };
+}
+
+// Replicas whose every forward is slow: pipelined requests stay queued or in
+// flight behind real work.
+ModelFactory slow_factory() {
+  return [] { return serve::testfix::slow_model(); };
 }
 
 TEST(NetServer, ForecastOverTheWireMatchesDirectPredict) {
@@ -205,28 +210,33 @@ TEST(NetServer, ConcurrentClientsAllGetAnswers) {
   }
   for (auto& th : threads) th.join();
   for (int c = 0; c < kClients; ++c) EXPECT_EQ(ok[static_cast<std::size_t>(c)], kPerClient);
-  EXPECT_EQ(server.metrics().requests_completed.load(),
-            static_cast<std::uint64_t>(kClients * kPerClient));
+  // The completed counter lands just after the response bytes; give the
+  // last writers a moment to record theirs.
+  const auto answered = static_cast<std::uint64_t>(kClients * kPerClient);
+  for (int i = 0; i < 5000 && server.metrics().requests_completed.load() < answered; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(server.metrics().requests_completed.load(), answered);
   EXPECT_EQ(server.metrics().shed_total(), 0u);
 }
 
 TEST(NetServer, ShutdownDrainsPipelinedRequests) {
   NetServerConfig cfg = quick_config(2);
-  cfg.pool.serve.max_wait = 50ms;  // batches stay open: requests are in flight at shutdown
-  cfg.pool.serve.max_batch = 64;
-  auto server = std::make_unique<NetServer>(cfg, tiny_factory());
+  cfg.pool.serve.max_batch = 1;  // one slow forward per request: a deeper queue
+  auto server = std::make_unique<NetServer>(cfg, slow_factory());
   Client client("127.0.0.1", server->port());
 
   constexpr int kInFlight = 5;
   for (std::uint64_t id = 1; id <= kInFlight; ++id) {
-    client.send_forecast(id, serve::testfix::random_input(400 + id));
+    client.send_forecast(id, serve::testfix::slow_input(400 + id));
   }
   // Wait until the reader has admitted all five (sent != accepted: bytes
   // still in the socket buffer at shutdown would simply never be accepted),
-  // then shut down with the whole window unresolved.
+  // then shut down while the replicas are still working through them.
   while (server->metrics().requests_accepted.load() < kInFlight) {
     std::this_thread::sleep_for(1ms);
   }
+  EXPECT_LT(server->metrics().requests_completed.load(), static_cast<std::uint64_t>(kInFlight));
   std::thread stopper([&] { server->shutdown(); });
   int answered = 0;
   for (int i = 0; i < kInFlight; ++i) {
@@ -240,13 +250,13 @@ TEST(NetServer, ShutdownDrainsPipelinedRequests) {
 TEST(NetServer, OverloadShedsWithTypedReason) {
   NetServerConfig cfg = quick_config(1);
   cfg.pool.max_replica_depth = 1;
-  cfg.pool.serve.max_wait = 20ms;  // hold the batch open so depth stays high
-  cfg.pool.serve.max_batch = 64;
-  NetServer server(cfg, tiny_factory());
+  // The first request holds the only slot for a whole slow forward, while
+  // the other three arrive.
+  NetServer server(cfg, slow_factory());
   Client client("127.0.0.1", server.port());
 
   for (std::uint64_t id = 1; id <= 4; ++id) {
-    client.send_forecast(id, serve::testfix::random_input(500 + id));
+    client.send_forecast(id, serve::testfix::slow_input(500 + id));
   }
   int ok = 0, shed = 0;
   for (int i = 0; i < 4; ++i) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 #include "common/check.h"
@@ -14,13 +13,10 @@
 namespace paintplace::net {
 namespace {
 
-using namespace std::chrono_literals;
-
 ReplicaPoolConfig quick_config(int replicas = 2) {
   ReplicaPoolConfig cfg;
   cfg.replicas = replicas;
   cfg.serve.max_batch = 4;
-  cfg.serve.max_wait = 2ms;
   return cfg;
 }
 

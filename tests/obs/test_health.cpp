@@ -95,7 +95,6 @@ TEST(NetServerHealth, LiveProbeReportsIdentityAndSlo) {
   NetServerConfig cfg;
   cfg.pool.replicas = 2;
   cfg.pool.serve.max_batch = 4;
-  cfg.pool.serve.max_wait = std::chrono::milliseconds(2);
   NetServer server(cfg, [] { return serve::testfix::tiny_model(); });
   ASSERT_GT(server.port(), 0);
 

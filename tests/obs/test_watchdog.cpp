@@ -2,17 +2,17 @@
 // per stuck request, oldest-age gauge tracking, disabled = free), the
 // force-retain hook that commits a stalled request's buffered spans through
 // the sampler's tail path, and the live loopback case the incident story is
-// built on — a wedged replica (long coalesce wait) pushes a request past
+// built on — a replica busy with slow forwards keeps requests in flight past
 // --stall-ms and the stall count rides the PPN1 health frame to the client.
 #include "obs/watchdog.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/client.h"
@@ -163,19 +163,29 @@ TEST_F(WatchdogTest, StallForceRetainsTheBufferedTrace) {
 }
 
 TEST_F(WatchdogTest, WedgedReplicaStallReachesTheHealthFrame) {
+  // Four requests queued on a replica that runs one per forward stay in
+  // flight for about four slow forwards. The stall threshold is a quarter of
+  // one measured forward; while the requests are in flight the test ticks
+  // the watchdog itself, one forward ahead of now (the monitor thread idles).
+  const double forward_ms = serve::testfix::slow_forward_ms();
   net::NetServerConfig cfg;
   cfg.pool.replicas = 1;
-  cfg.pool.serve.max_batch = 64;  // a lone request never fills the batch …
-  cfg.pool.serve.max_wait = std::chrono::milliseconds(300);  // … and waits 300ms
-  cfg.watchdog.stall_ms = 50.0;
-  cfg.watchdog.tick_period_s = 0.020;
-  net::NetServer server(cfg, [] { return serve::testfix::tiny_model(); });
+  cfg.pool.serve.max_batch = 1;
+  cfg.watchdog.stall_ms = forward_ms / 4.0;
+  cfg.watchdog.tick_period_s = 3600.0;
+  net::NetServer server(cfg, [] { return serve::testfix::slow_model(); });
   ASSERT_GT(server.port(), 0);
 
   net::Client client("127.0.0.1", server.port());
-  // Blocks ~300ms in the coalescing queue: wedged long past stall-ms, while
-  // the watchdog thread ticks every 20ms.
-  EXPECT_EQ(client.forecast(serve::testfix::random_input(1)).status, net::Status::kOk);
+  constexpr int kQueued = 4;
+  for (std::uint64_t id = 1; id <= kQueued; ++id) {
+    client.send_forecast(id, serve::testfix::slow_input(id));
+  }
+  while (server.watchdog().tracked() == 0) std::this_thread::yield();
+  server.watchdog().tick(server.watchdog().now_s() + forward_ms * 1e-3);
+  for (int i = 0; i < kQueued; ++i) {
+    EXPECT_EQ(client.read_forecast_response().status, net::Status::kOk);
+  }
 
   EXPECT_GE(server.watchdog().stalls(), 1u);
   const net::HealthInfo health = client.health();

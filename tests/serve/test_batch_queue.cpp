@@ -22,7 +22,7 @@ PendingRequest make_request(std::uint64_t seed) {
 }
 
 TEST(BatchQueue, FullBatchFlushesWithoutWaiting) {
-  BatchQueue q(/*max_batch=*/4, /*max_wait=*/1h);  // wait "forever" unless full
+  BatchQueue q(/*max_batch=*/4);
   for (std::uint64_t i = 0; i < 4; ++i) {
     PendingRequest r = make_request(i);
     ASSERT_TRUE(q.push(r));
@@ -30,36 +30,35 @@ TEST(BatchQueue, FullBatchFlushesWithoutWaiting) {
   Timer t;
   const auto batch = q.pop_batch();
   EXPECT_EQ(batch.size(), 4u);
-  EXPECT_LT(t.seconds(), 1.0);  // did not sit out the 1h max_wait
+  EXPECT_LT(t.seconds(), 1.0);
 }
 
 TEST(BatchQueue, OverfullQueueSplitsIntoMaxBatchChunks) {
-  BatchQueue q(4, 1h);
+  BatchQueue q(4);
   for (std::uint64_t i = 0; i < 10; ++i) {
     PendingRequest r = make_request(i);
     ASSERT_TRUE(q.push(r));
   }
   EXPECT_EQ(q.pop_batch().size(), 4u);
   EXPECT_EQ(q.pop_batch().size(), 4u);
-  q.close();  // remaining 2 flush on close instead of max_wait
-  EXPECT_EQ(q.pop_batch().size(), 2u);
+  EXPECT_EQ(q.pop_batch().size(), 2u);  // the partial remainder pops as is
+  q.close();
+  EXPECT_TRUE(q.pop_batch().empty());
 }
 
-TEST(BatchQueue, MaxWaitFlushesPartialBatch) {
-  BatchQueue q(8, 20ms);
+TEST(BatchQueue, LoneRequestPopsAtOnceAsABatchOfOne) {
+  BatchQueue q(8);
   PendingRequest r = make_request(1);
   ASSERT_TRUE(q.push(r));
   Timer t;
-  const auto batch = q.pop_batch();
-  const double waited = t.seconds();
-  EXPECT_EQ(batch.size(), 1u);
-  // Flushed by the deadline: waited roughly max_wait, not forever — and did
-  // not return instantly with an unfilled batch either.
-  EXPECT_LT(waited, 5.0);
+  const auto batch = q.pop_batch();  // never waits for a partner
+  EXPECT_LT(t.seconds(), 1.0);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].key, TensorKey::of(testfix::random_input(1, 4)));
 }
 
 TEST(BatchQueue, BatchesPreserveFifoOrder) {
-  BatchQueue q(3, 1h);
+  BatchQueue q(3);
   for (std::uint64_t i = 0; i < 3; ++i) {
     PendingRequest r = make_request(i);
     ASSERT_TRUE(q.push(r));
@@ -72,7 +71,7 @@ TEST(BatchQueue, BatchesPreserveFifoOrder) {
 }
 
 TEST(BatchQueue, CloseDrainsThenSignalsEmpty) {
-  BatchQueue q(4, 1h);
+  BatchQueue q(4);
   PendingRequest a = make_request(1), b = make_request(2);
   ASSERT_TRUE(q.push(a));
   ASSERT_TRUE(q.push(b));
@@ -84,19 +83,19 @@ TEST(BatchQueue, CloseDrainsThenSignalsEmpty) {
 }
 
 TEST(BatchQueue, PopBlocksUntilPushArrives) {
-  BatchQueue q(1, 1h);
+  BatchQueue q(8);
   std::vector<PendingRequest> got;
   std::thread consumer([&] { got = q.pop_batch(); });
-  std::this_thread::sleep_for(10ms);
+  std::this_thread::sleep_for(10ms);  // let the consumer block on the empty queue
   PendingRequest r = make_request(5);
   ASSERT_TRUE(q.push(r));
-  consumer.join();
+  consumer.join();  // woke and returned a batch of one, far short of max_batch
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].key, TensorKey::of(testfix::random_input(5, 4)));
 }
 
 TEST(BatchQueue, CloseWakesBlockedConsumer) {
-  BatchQueue q(4, 1h);
+  BatchQueue q(4);
   std::thread consumer([&] { EXPECT_TRUE(q.pop_batch().empty()); });
   std::this_thread::sleep_for(10ms);
   q.close();
@@ -104,7 +103,7 @@ TEST(BatchQueue, CloseWakesBlockedConsumer) {
 }
 
 TEST(BatchQueue, TwoConsumersSplitTheWorkWithoutLoss) {
-  BatchQueue q(2, 5ms);
+  BatchQueue q(2);
   constexpr int kRequests = 40;
   std::atomic<int> served{0};
   auto consume = [&] {

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "nn/tensor_ops.h"
+#include "obs/metrics_registry.h"
 #include "tests/serve/serve_fixtures.h"
 
 namespace paintplace::serve {
@@ -16,8 +17,13 @@ using namespace std::chrono_literals;
 ServeConfig quick_config() {
   ServeConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_wait = 2ms;
   return cfg;
+}
+
+/// Requests the batch worker has started executing so far, process-wide:
+/// run_batch records one batch-wait sample per request as a batch starts.
+std::uint64_t requests_started() {
+  return obs::MetricsRegistry::global().histogram("serve_batch_wait_seconds").count();
 }
 
 TEST(ForecastServer, ResultMatchesDirectPredict) {
@@ -52,38 +58,47 @@ TEST(ForecastServer, IdenticalPlacementHitsCacheBitIdentically) {
 TEST(ForecastServer, DuplicatesInsideOneBatchRunOnce) {
   ServeConfig cfg = quick_config();
   cfg.max_batch = 8;
-  cfg.max_wait = 50ms;  // generous window so all submits land in one batch
-  ForecastServer server(cfg, testfix::tiny_model());
-  const nn::Tensor x = testfix::random_input(1);
+  ForecastServer server(cfg, testfix::slow_model());
+  // Once the worker has taken the blocker it is busy with a slow forward; the
+  // four duplicates queue up behind it and pop together as the next batch.
+  const std::uint64_t started = requests_started();
+  std::future<ForecastResult> blocker = server.submit(testfix::slow_input(2));
+  while (requests_started() == started) std::this_thread::yield();
+  const nn::Tensor x = testfix::slow_input(1);
   std::vector<std::future<ForecastResult>> futures;
   for (int i = 0; i < 4; ++i) futures.push_back(server.submit(x));
+  (void)blocker.get();
   std::vector<ForecastResult> results;
   for (auto& f : futures) results.push_back(f.get());
   for (const ForecastResult& r : results) {
     EXPECT_EQ(r.heatmap.max_abs_diff(results[0].heatmap), 0.0f);
   }
   const ServeStats stats = server.stats();
-  // One model sample total: the first batch coalesces its duplicates and any
-  // straggler batch serves from the cache.
-  EXPECT_EQ(stats.model_samples, 1u);
-  EXPECT_EQ(stats.requests, 4u);
+  // The duplicate input ran once: three of its four requests were folded
+  // into the first one's forward inside a single batch.
+  EXPECT_EQ(stats.model_samples, 2u);  // the blocker + x
+  EXPECT_EQ(stats.coalesced, 3u);
+  EXPECT_EQ(stats.requests, 5u);
 }
 
 TEST(ForecastServer, CoalescesConcurrentSubmitsIntoBatches) {
   ServeConfig cfg = quick_config();
   cfg.max_batch = 4;
-  cfg.max_wait = 20ms;
-  ForecastServer server(cfg, testfix::tiny_model());
+  // Each slow forward leaves the other clients time to queue their next
+  // request, so later batches carry more than one.
+  ForecastServer server(cfg, testfix::slow_model());
   constexpr int kClients = 3, kPerClient = 8;
   std::vector<std::thread> clients;
   std::atomic<int> ok{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&server, &ok, c] {
       for (int i = 0; i < kPerClient; ++i) {
-        const nn::Tensor x =
-            testfix::random_input(static_cast<std::uint64_t>(c * 1000 + i));
+        const nn::Tensor x = testfix::slow_input(static_cast<std::uint64_t>(c * 1000 + i));
         const ForecastResult r = server.submit(x).get();
-        if (r.heatmap.shape() == nn::Shape{1, 3, 16, 16}) ok += 1;
+        if (r.heatmap.shape() ==
+            nn::Shape{1, 3, testfix::kSlowImageSize, testfix::kSlowImageSize}) {
+          ok += 1;
+        }
       }
     });
   }
@@ -92,20 +107,21 @@ TEST(ForecastServer, CoalescesConcurrentSubmitsIntoBatches) {
   const ServeStats stats = server.stats();
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kClients * kPerClient));
   EXPECT_EQ(stats.model_samples, stats.requests - stats.cache_hits - stats.coalesced);
-  EXPECT_GE(stats.max_batch, 1u);
+  EXPECT_GE(stats.max_batch, 2u);
   EXPECT_LE(stats.max_batch, 4u);
 }
 
 TEST(ForecastServer, ShutdownDrainsPendingRequests) {
-  ServeConfig cfg = quick_config();
-  cfg.max_batch = 64;     // never fills ...
-  cfg.max_wait = 10min;   // ... and never times out: only close() can flush
-  auto server = std::make_unique<ForecastServer>(cfg, testfix::tiny_model());
+  auto server = std::make_unique<ForecastServer>(quick_config(), testfix::slow_model());
   std::vector<std::future<ForecastResult>> futures;
-  for (std::uint64_t i = 0; i < 5; ++i) futures.push_back(server->submit(testfix::random_input(i)));
-  server->shutdown();  // must serve all 5 queued requests before returning
+  for (std::uint64_t i = 0; i < 5; ++i) futures.push_back(server->submit(testfix::slow_input(i)));
+  // The worker is still inside the first slow forward: the rest are queued.
+  EXPECT_EQ(futures.back().wait_for(0s), std::future_status::timeout);
+  server->shutdown();  // must serve all 5 requests before returning
   for (auto& f : futures) {
-    EXPECT_EQ(f.get().heatmap.shape(), (nn::Shape{1, 3, 16, 16}));
+    EXPECT_EQ(f.wait_for(0s), std::future_status::ready);
+    EXPECT_EQ(f.get().heatmap.shape(),
+              (nn::Shape{1, 3, testfix::kSlowImageSize, testfix::kSlowImageSize}));
   }
 }
 
@@ -184,22 +200,6 @@ TEST(ForecastServer, HotSwapKeepsServingAndBumpsVersion) {
   EXPECT_EQ(hist[1].second, "fine-tuned");
 }
 
-TEST(ForecastServer, MultipleWorkersServeCorrectly) {
-  ServeConfig cfg = quick_config();
-  cfg.workers = 2;
-  ForecastServer server(cfg, testfix::tiny_model());
-  auto reference = testfix::tiny_model();
-  reference->set_deterministic_inference(true);
-  std::vector<std::future<ForecastResult>> futures;
-  std::vector<nn::Tensor> inputs;
-  for (std::uint64_t i = 0; i < 12; ++i) inputs.push_back(testfix::random_input(i));
-  for (const nn::Tensor& x : inputs) futures.push_back(server.submit(x));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    const ForecastResult r = futures[i].get();
-    EXPECT_EQ(r.heatmap.max_abs_diff(reference->predict(inputs[i])), 0.0f) << "request " << i;
-  }
-}
-
 TEST(ForecastServer, RejectsUnsoundConfigurations) {
   ServeConfig stochastic_with_cache = quick_config();
   stochastic_with_cache.deterministic = false;
@@ -207,9 +207,6 @@ TEST(ForecastServer, RejectsUnsoundConfigurations) {
   stochastic_with_cache.cache_capacity = 0;  // stochastic serving is fine uncached
   EXPECT_NO_THROW(ForecastServer(stochastic_with_cache, testfix::tiny_model()));
 
-  ServeConfig no_workers = quick_config();
-  no_workers.workers = 0;
-  EXPECT_THROW(ForecastServer(no_workers, testfix::tiny_model()), CheckError);
   EXPECT_THROW(ForecastServer(quick_config(), nullptr), CheckError);
 }
 

@@ -48,7 +48,6 @@ struct Options {
   Index in_channels = 4;
   Index base_channels = 8;
   Index max_batch = 8;
-  Index max_wait_us = 2000;
   std::size_t cache_capacity = 1024;
   Index max_replica_depth = 64;
   Index max_client_inflight = 16;
@@ -64,7 +63,7 @@ struct Options {
   std::string metrics_dump;      ///< write final metrics exposition here on drain
   std::string postmortem;        ///< dir for crash-forensics dumps (enables recorder)
   double stall_ms = 0.0;         ///< watchdog stall threshold; 0 disables
-  std::string log_format;        ///< kv | json | legacy ("" = kv / env default)
+  std::string log_format;        ///< kv | json ("" = kv / env default)
   double slo_p99_ms = 250.0;     ///< windowed p99 objective
   double slo_error_rate = 0.01;  ///< windowed (failed+shed)/total objective
   double slo_window_s = 60.0;    ///< SLO rolling window
@@ -82,8 +81,7 @@ void usage() {
       "  --width N              stand-in model resolution (default 32)\n"
       "  --channels N           stand-in model input channels (default 4)\n"
       "  --base-channels N      stand-in model first encoder width (default 8)\n"
-      "  --max-batch N          micro-batch flush size per replica (default 8)\n"
-      "  --max-wait-us N        micro-batch wait bound per replica (default 2000)\n"
+      "  --max-batch N          most requests one forward pass takes per replica (default 8)\n"
       "  --cache N              result-cache entries per replica; 0 disables (default 1024)\n"
       "  --max-depth N          per-replica admitted-request bound; 0 = unbounded (default 64)\n"
       "  --max-inflight N       per-client in-flight fairness cap; 0 = none (default 16)\n"
@@ -104,8 +102,7 @@ void usage() {
       "                         DIR/postmortem.<pid>.json on SIGSEGV/SIGABRT/SIGBUS\n"
       "  --stall-ms X           watchdog: report any request in flight longer than X ms\n"
       "                         and force-retain its trace (default 0 = disabled)\n"
-      "  --log-format F         kv (default) | json (JSON lines) | legacy (pre-9 text\n"
-      "                         for the periodic stats line)\n"
+      "  --log-format F         kv (default) | json (JSON lines)\n"
       "  --slo-p99-ms X         SLO: windowed p99 latency objective (default 250)\n"
       "  --slo-error-rate X     SLO: windowed error-rate objective (default 0.01)\n"
       "  --slo-window-s X       SLO rolling window in seconds (default 60)\n"
@@ -150,9 +147,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (!std::strcmp(a, "--max-batch")) {
       if (!(v = need_value(i))) return false;
       opt.max_batch = std::atoll(v);
-    } else if (!std::strcmp(a, "--max-wait-us")) {
-      if (!(v = need_value(i))) return false;
-      opt.max_wait_us = std::atoll(v);
     } else if (!std::strcmp(a, "--cache")) {
       if (!(v = need_value(i))) return false;
       opt.cache_capacity = static_cast<std::size_t>(std::atoll(v));
@@ -209,8 +203,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (!std::strcmp(a, "--log-format")) {
       if (!(v = need_value(i))) return false;
       opt.log_format = v;
-      if (opt.log_format != "kv" && opt.log_format != "json" && opt.log_format != "legacy") {
-        std::fprintf(stderr, "--log-format must be kv, json, or legacy (got %s)\n", v);
+      if (opt.log_format != "kv" && opt.log_format != "json") {
+        std::fprintf(stderr, "--log-format must be kv or json (got %s)\n", v);
         return false;
       }
     } else if (!std::strcmp(a, "--seed")) {
@@ -238,10 +232,8 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, opt)) return 2;
 
   namespace obs = paintplace::obs;
-  // --log-format picks the structured-log rendering; "legacy" keeps the
-  // structured default (kv) but routes the periodic stats line through the
-  // pre-forensics printf renderer.
-  if (opt.log_format == "json" || opt.log_format == "kv") {
+  // --log-format picks the structured-log rendering.
+  if (!opt.log_format.empty()) {
     obs::LogConfig lcfg = obs::Log::instance().config();
     lcfg.format =
         opt.log_format == "json" ? obs::LogFormat::kJson : obs::LogFormat::kKeyValue;
@@ -302,7 +294,6 @@ int main(int argc, char** argv) {
   cfg.pool.max_replica_depth = opt.max_replica_depth;
   cfg.pool.max_client_inflight = opt.max_client_inflight;
   cfg.pool.serve.max_batch = opt.max_batch;
-  cfg.pool.serve.max_wait = std::chrono::microseconds(opt.max_wait_us);
   cfg.pool.serve.cache_capacity = opt.cache_capacity;
   cfg.pool.serve.backend = opt.backend;
   cfg.pool.serve.trace_sample = opt.trace_sample;
@@ -311,7 +302,6 @@ int main(int argc, char** argv) {
   cfg.slo.latency_objective_s = opt.slo_p99_ms * 1e-3;
   cfg.slo.error_rate_objective = opt.slo_error_rate;
   cfg.watchdog.stall_ms = opt.stall_ms;
-  cfg.legacy_log = opt.log_format == "legacy";
   // --trace takes precedence over an inherited PAINTPLACE_TRACE; either way
   // the tracer is enabled now and the JSON is written on drain.
   if (!opt.trace.empty()) paintplace::obs::Tracer::instance().configure(opt.trace);
