@@ -31,7 +31,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics_registry.h"
-#include "obs/sampler.h"
+#include "obs/request_table.h"
 #include "obs/trace.h"
 
 using namespace paintplace;
@@ -353,7 +353,7 @@ int main() {
     obs::SamplerConfig sc;
     sc.sample_every = 100;
     sc.slow_threshold_s = 30.0;
-    tracer.sampler().configure(sc);
+    obs::RequestTable::instance().configure_sampling(sc);
     const std::uint64_t sampled0 = sampled_ctr.load();
     const std::uint64_t discarded0 = discarded_ctr.load();
     run_traced(false, reps, 4);
@@ -389,7 +389,7 @@ int main() {
     const std::uint64_t head_delta = sampled_ctr.load() - head0;
     const std::string shed_json = tracer.dump_json();
     const bool shed_spans_present = shed_json.find("net.handle_forecast") != std::string::npos;
-    tracer.sampler().disable();
+    obs::RequestTable::instance().disable_sampling();
     tracer.disable();
     tracer.clear();
     std::printf("  overload under sampling: %llu ok, %llu shed; %llu tail-retained + "

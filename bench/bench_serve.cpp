@@ -20,7 +20,7 @@
 #include "common/timer.h"
 #include "nn/tensor_ops.h"
 #include "obs/profiler.h"
-#include "obs/sampler.h"
+#include "obs/request_table.h"
 #include "obs/trace.h"
 #include "serve/forecast_server.h"
 
@@ -210,16 +210,17 @@ int main() {
   }
   // ---- 4. Tracing + profiling overhead guard --------------------------------
   // The request path is instrumented with obs::Span at every layer (net,
-  // pool, serve, core, per-layer, per-GEMM). With the tracer, the tail
-  // sampler AND the profiler all disabled — the production default — a Span
-  // must cost one relaxed atomic load (tracing and profiling share one
-  // combined flags word; the sampler only runs behind an enabled tracer).
+  // pool, serve, core, per-layer, per-GEMM). With the tracer, tail sampling
+  // AND the live-span stack (profiler, flight recorder) all off — the
+  // production default — a Span must cost one relaxed atomic load (tracing
+  // and the stack share one combined flags word; sampling only sees spans
+  // an enabled tracer records).
   // Measure that cost directly and bound the implied fraction of a request's
   // budget: even at a generous 64 spans/request, it must stay under 2% of
   // the single-client request time measured above.
   {
     obs::Tracer::instance().disable();
-    obs::Tracer::instance().sampler().disable();
+    obs::RequestTable::instance().disable_sampling();
     obs::Profiler::instance().stop();
     constexpr int kSpanReps = 2'000'000;
     Timer t_span;

@@ -2,9 +2,44 @@
 
 #include <algorithm>
 
+#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
 namespace paintplace::net {
+
+namespace {
+
+// The pool's state as registry gauges, shared by every pool in the process
+// (one NetServer per process is the deployment shape). Set where the values
+// change, so a scrape or a post-mortem snapshot reads them without asking
+// the pool.
+struct PoolInstruments {
+  obs::Gauge& replicas =
+      obs::MetricsRegistry::global().gauge("pool_replicas", "replicas in the serving pool");
+  obs::Gauge& queue_depth = obs::MetricsRegistry::global().gauge(
+      "pool_queue_depth", "admitted-but-unanswered requests, all replicas");
+  obs::Gauge& max_replica_depth = obs::MetricsRegistry::global().gauge(
+      "pool_max_replica_depth", "admitted-but-unanswered requests on the deepest replica");
+  obs::Gauge& model_version = obs::MetricsRegistry::global().gauge(
+      "pool_model_version", "model version every replica serves");
+};
+
+PoolInstruments& instruments() {
+  static PoolInstruments inst;
+  return inst;
+}
+
+void publish_depths(const std::vector<Index>& depths) {
+  Index total = 0, deepest = 0;
+  for (Index d : depths) {
+    total += d;
+    deepest = std::max(deepest, d);
+  }
+  instruments().queue_depth.set(static_cast<double>(total));
+  instruments().max_replica_depth.set(static_cast<double>(deepest));
+}
+
+}  // namespace
 
 ReplicaPool::ReplicaPool(const ReplicaPoolConfig& config, const ModelFactory& make_model)
     : config_(config) {
@@ -19,6 +54,10 @@ ReplicaPool::ReplicaPool(const ReplicaPoolConfig& config, const ModelFactory& ma
     replicas_.push_back(std::make_unique<serve::ForecastServer>(
         config.serve, std::move(model), "replica-" + std::to_string(r) + "-initial"));
   }
+  instruments().replicas.set(config.replicas);
+  instruments().model_version.set(
+      static_cast<double>(replicas_.front()->registry().current().version));
+  publish_depths(replica_depth_);
 }
 
 ReplicaPool::~ReplicaPool() { shutdown(); }
@@ -50,6 +89,7 @@ Admission ReplicaPool::submit(std::uint64_t client_id, const nn::Tensor& input01
     }
     replica_depth_[static_cast<std::size_t>(adm.replica)] += 1;
     inflight += 1;
+    publish_depths(replica_depth_);
   }
 
   // The slot guard releases admission state exactly once, whatever path the
@@ -71,6 +111,7 @@ Admission ReplicaPool::submit(std::uint64_t client_id, const nn::Tensor& input01
 void ReplicaPool::release(int replica, std::uint64_t client_id) {
   std::lock_guard<std::mutex> lock(admission_mu_);
   replica_depth_[static_cast<std::size_t>(replica)] -= 1;
+  publish_depths(replica_depth_);
   const auto it = client_inflight_.find(client_id);
   if (it != client_inflight_.end() && --it->second <= 0) client_inflight_.erase(it);
 }
@@ -87,6 +128,7 @@ std::uint64_t ReplicaPool::hot_swap(const ModelFactory& make_model, const std::s
                                              << " vs " << version);
     version = v;
   }
+  instruments().model_version.set(static_cast<double>(version));
   return version;
 }
 

@@ -16,7 +16,6 @@
 #include "obs/build_info.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 
 namespace paintplace::net {
@@ -172,7 +171,8 @@ struct NetServer::Connection {
         return true;
       case FrameType::kMetricsRequest:
         server.metrics_.metrics_requests.fetch_add(1, std::memory_order_relaxed);
-        enqueue_encoded(encode_metrics_response(frame.request_id, server.metrics_text()));
+        enqueue_encoded(encode_metrics_response(
+            frame.request_id, obs::MetricsRegistry::global().render_prometheus()));
         return true;
       case FrameType::kSwapRequest:
         handle_swap(frame);
@@ -198,34 +198,36 @@ struct NetServer::Connection {
     // Outgoing into the writer — every span along the way records it.
     const std::uint64_t trace_id = obs::TraceContext::next_id();
     const obs::ScopedTraceId trace_scope(trace_id);
-    // The sampler tracks the request for its whole wire lifetime: begin at
-    // id mint, finish either right here (decode error / unservable / shed)
+    // The request's record lives for its whole wire lifetime: begun at id
+    // mint, finished either right here (decode error / unservable / shed)
     // or in write_loop once the response is on the wire.
-    obs::Sampler& sampler = obs::Tracer::instance().sampler();
-    sampler.begin(trace_id);
+    obs::RequestTable& requests = obs::RequestTable::instance();
+    requests.begin(trace_id, static_cast<std::int64_t>(client_id));
     const auto started_at = std::chrono::steady_clock::now();
 
     bool admitted = false;
     obs::RequestOutcome outcome = obs::RequestOutcome::kOk;
+    const char* shed_reason = nullptr;
     {
-      // Inner scope: the request span must close (and reach the sampler's
-      // provisional buffer) before finish() decides the request's fate.
+      // Inner scope: the request span must close (and reach the record's
+      // buffer) before finish() decides the request's fate.
       obs::Span span("net.handle_forecast", "net");
-      admitted = dispatch_forecast(frame, span, outcome);
+      admitted = dispatch_forecast(frame, span, outcome, shed_reason);
     }
     if (!admitted) {
-      sampler.finish(
+      requests.finish(
           trace_id,
           std::chrono::duration<double>(std::chrono::steady_clock::now() - started_at).count(),
-          outcome);
+          outcome, shed_reason);
     }
   }
 
   /// Decode + admission for one forecast frame. Returns true when the
   /// request was admitted (a pending Outgoing is queued and write_loop owns
   /// its completion); false means an immediate response was enqueued and
-  /// `outcome` says how it ended.
-  bool dispatch_forecast(const Frame& frame, obs::Span& span, obs::RequestOutcome& outcome) {
+  /// `outcome` (and `shed_reason` for a shed) says how it ended.
+  bool dispatch_forecast(const Frame& frame, obs::Span& span, obs::RequestOutcome& outcome,
+                         const char*& shed_reason) {
     ForecastRequest req;
     try {
       req = decode_forecast_request(frame);
@@ -262,10 +264,8 @@ struct NetServer::Connection {
       } else {
         server.metrics_.shed_client_cap.fetch_add(1, std::memory_order_relaxed);
       }
-      if (span.active()) span.arg("shed", to_string(out.admission.shed));
-      obs::FlightRecorder::record(obs::EventKind::kShed, out.trace_id,
-                                  to_string(out.admission.shed),
-                                  static_cast<std::int64_t>(client_id), 0);
+      shed_reason = to_string(out.admission.shed);
+      if (span.active()) span.arg("shed", shed_reason);
       ForecastResponse resp;
       resp.request_id = req.request_id;
       resp.status = Status::kShed;
@@ -276,10 +276,7 @@ struct NetServer::Connection {
     }
 
     server.metrics_.requests_accepted.fetch_add(1, std::memory_order_relaxed);
-    obs::FlightRecorder::record(obs::EventKind::kRequest, out.trace_id, "admitted",
-                                out.admission.replica,
-                                static_cast<std::int64_t>(client_id));
-    server.watchdog_->track(out.trace_id, out.admission.replica);
+    obs::RequestTable::instance().admit(out.trace_id, out.admission.replica);
     out.pending = true;
     enqueue(std::move(out));
     return true;
@@ -297,8 +294,9 @@ struct NetServer::Connection {
     info.latency_burn_rate = slo.latency_burn_rate;
     info.error_burn_rate = slo.error_burn_rate;
     info.window_requests = slo.window_requests;
-    info.watchdog_stalls = server.watchdog_->stalls();
-    info.oldest_request_ms = server.watchdog_->oldest_request_ms();
+    const obs::RequestTable& requests = obs::RequestTable::instance();
+    info.watchdog_stalls = requests.stalls();
+    info.oldest_request_ms = requests.oldest_request_ms();
     const std::vector<Index> depths = server.pool_->replica_depths();
     info.replica_depths.reserve(depths.size());
     for (Index d : depths) info.replica_depths.push_back(static_cast<std::uint32_t>(d));
@@ -351,8 +349,8 @@ struct NetServer::Connection {
       bool failed = false;
       bool completed = false;
       {
-        // Inner scope so the writer's span reaches the sampler before
-        // finish() commits or discards the request's trace.
+        // Inner scope so the writer's span reaches the request's record
+        // before finish() commits or discards its trace.
         const obs::ScopedTraceId trace_scope(out.trace_id);
         obs::Span span("net.write_response", "net");
         ForecastResponse resp;
@@ -383,16 +381,16 @@ struct NetServer::Connection {
       const double latency_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - out.accepted_at)
               .count();
-      // The sampler decides first so the latency histogram can carry the
-      // trace id as a bucket exemplar only when that trace actually exists
-      // in the dump (head-sampled or tail-retained).
-      const bool retained = obs::Tracer::instance().sampler().finish(
+      // The record decides first so the latency histogram carries the
+      // trace id as a bucket exemplar only when that trace exists in the
+      // dump: tracing on, and the request head-sampled or retained.
+      const bool kept = obs::RequestTable::instance().finish(
           out.trace_id, latency_s,
           failed ? obs::RequestOutcome::kError : obs::RequestOutcome::kOk);
       if (completed) {
-        server.metrics_.latency.record(latency_s, retained ? out.trace_id : 0);
+        const bool traced = kept && obs::Tracer::instance().enabled();
+        server.metrics_.latency.record(latency_s, traced ? out.trace_id : 0);
       }
-      server.watchdog_->complete(out.trace_id);
     }
   }
 };
@@ -404,16 +402,6 @@ NetServer::NetServer(const NetServerConfig& config, const ModelFactory& make_mod
   obs::register_process_metrics(backend::active_backend().name());
   slo_monitor_ = std::make_unique<obs::SloMonitor>(config_.slo);
   slo_monitor_->start();
-  // Constructed unconditionally so the obs_watchdog_* gauges always exist
-  // (the health frame reads them); the monitor thread only runs when a
-  // stall threshold is configured.
-  watchdog_ = std::make_unique<obs::Watchdog>(obs::MetricsRegistry::global());
-  watchdog_->configure(config_.watchdog);
-  watchdog_->set_depths_fn([this] {
-    const std::vector<Index> depths = pool_->replica_depths();
-    return std::vector<std::int64_t>(depths.begin(), depths.end());
-  });
-  watchdog_->start();
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   PP_CHECK_MSG(listen_fd_ >= 0, "socket() failed: " << std::strerror(errno));
@@ -445,6 +433,11 @@ NetServer::NetServer(const NetServerConfig& config, const ModelFactory& make_mod
       .kv("replicas", pool_->replicas())
       .kv("stall_ms", config_.watchdog.stall_ms);
 
+  // The request monitor runs while stall detection or the flight recorder
+  // is on; shutdown() releases it.
+  obs::RequestTable& requests = obs::RequestTable::instance();
+  requests.configure_stalls(config_.watchdog);
+  requests.start_monitor();
   acceptor_ = std::thread([this] { accept_loop(); });
   if (config_.metrics_log_period.count() > 0) {
     logger_ = std::thread([this] { log_loop(); });
@@ -487,7 +480,7 @@ void NetServer::log_loop() {
     if (log_cv_.wait_for(lock, config_.metrics_log_period) == std::cv_status::no_timeout) {
       continue;  // woken for shutdown — loop re-checks the flag
     }
-    const PoolGauges pool = pool_gauges();
+    const PoolStats pool = pool_->stats();
     obs::Log::instance()
         .info("net", "stats")
         .kv("conns",
@@ -501,33 +494,8 @@ void NetServer::log_loop() {
         .kv("queue", pool.queue_depth)
         .kv("cache_hits", pool.cache_hits)
         .kv("version", pool.model_version)
-        .kv("stalls", watchdog_->stalls());
+        .kv("stalls", obs::RequestTable::instance().stalls());
   }
-}
-
-PoolGauges NetServer::pool_gauges() const {
-  const PoolStats stats = pool_->stats();
-  PoolGauges g;
-  g.replicas = pool_->replicas();
-  g.queue_depth = stats.queue_depth;
-  g.max_queue_depth = stats.max_replica_depth;
-  g.cache_hits = stats.cache_hits;
-  g.cache_requests = stats.cache_requests;
-  g.batches = stats.serve.batches;
-  g.model_samples = stats.serve.model_samples;
-  g.model_version = stats.model_version;
-  return g;
-}
-
-std::string NetServer::metrics_text() {
-  // Legacy flat listing first (the stable scrape surface clients grep), then
-  // the registry's Prometheus exposition for everything the rest of the
-  // process recorded (gemm_*, serve_*, train_*). The net_* instruments are
-  // filtered out of the second block — they already appear above.
-  std::string text = render_text(metrics_, pool_gauges());
-  text += obs::MetricsRegistry::global().render_prometheus(
-      [](const std::string& name) { return name.rfind("net_", 0) != 0; });
-  return text;
 }
 
 std::uint64_t NetServer::swap_checkpoint(const std::string& path) {
@@ -573,10 +541,12 @@ void NetServer::shutdown() {
                               static_cast<std::int64_t>(metrics_.requests_accepted.load()),
                               0);
 
-  // 1. Stop intake: close the listener (unblocks accept) and wake the logger.
+  // 1. Stop intake: shut the listener down (unblocks accept), join the
+  // acceptor, and only then close the descriptor it was reading, and wake
+  // the logger.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  close_fd(listen_fd_);
   if (acceptor_.joinable()) acceptor_.join();
+  close_fd(listen_fd_);
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     log_cv_.notify_all();
@@ -596,12 +566,12 @@ void NetServer::shutdown() {
   pool_->shutdown();
 
   // 4. One last tick so the final window reflects the drained traffic, then
-  // stop the SLO ticker and the watchdog.
+  // stop the SLO ticker and release the request monitor.
   if (slo_monitor_) {
     slo_monitor_->tick();
     slo_monitor_->stop();
   }
-  if (watchdog_) watchdog_->stop();
+  obs::RequestTable::instance().stop_monitor();
 }
 
 }  // namespace paintplace::net

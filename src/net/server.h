@@ -6,6 +6,10 @@
 // sharded replica pool; shed decisions, metrics scrapes and protocol errors
 // are answered immediately. The writer delivers responses in request order
 // per connection, recording accept-to-written latency into net::Metrics.
+// Each forecast request is one record in obs::RequestTable — begun when its
+// trace id is minted, admitted with its replica, finished with latency and
+// outcome — which drives trace sampling, stall detection and the flight
+// recorder's request events.
 //
 // Lifecycle: shutdown() stops the acceptor, half-closes every connection
 // (readers see EOF, writers drain their pending responses), then drains the
@@ -27,8 +31,8 @@
 #include "net/metrics.h"
 #include "net/replica_pool.h"
 #include "net/wire.h"
+#include "obs/request_table.h"
 #include "obs/slo.h"
-#include "obs/watchdog.h"
 
 namespace paintplace::net {
 
@@ -53,9 +57,10 @@ struct NetServerConfig {
   /// Rolling-window SLO objectives; the monitor runs for the server's
   /// lifetime and feeds the kHealthResponse frame and slo_* gauges.
   obs::SloConfig slo;
-  /// Stall watchdog (stall_ms = 0 disables). When active, every admitted
+  /// Stall detection (stall_ms = 0 disables). When active, every admitted
   /// request is aged admission-to-completion; requests past the threshold
-  /// file a structured stall report and force-retain their trace.
+  /// file a structured stall report and force-retain their trace (see
+  /// obs/request_table.h).
   obs::WatchdogConfig watchdog;
 };
 
@@ -84,8 +89,6 @@ class NetServer {
   Metrics& metrics() { return metrics_; }
   ReplicaPool& pool() { return *pool_; }
   obs::SloMonitor& slo_monitor() { return *slo_monitor_; }
-  obs::Watchdog& watchdog() { return *watchdog_; }
-  PoolGauges pool_gauges() const;
 
  private:
   struct Connection;
@@ -93,13 +96,11 @@ class NetServer {
   void accept_loop();
   void log_loop();
   void reap_finished_connections();
-  std::string metrics_text();
 
   NetServerConfig config_;
   std::unique_ptr<ReplicaPool> pool_;
   Metrics metrics_;
   std::unique_ptr<obs::SloMonitor> slo_monitor_;
-  std::unique_ptr<obs::Watchdog> watchdog_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

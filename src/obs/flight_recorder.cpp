@@ -7,9 +7,11 @@
 
 #include <chrono>
 #include <cstring>
+#include <mutex>
 
 #include "obs/build_info.h"
 #include "obs/metrics_registry.h"
+#include "obs/request_table.h"
 #include "obs/trace.h"
 
 namespace paintplace::obs {
@@ -94,37 +96,71 @@ const char* to_string(EventKind kind) {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed per-thread storage. Slots are heap-allocated once per thread and
-// published into a fixed pointer table; they are never freed (a thread's
-// last events stay dumpable after it exits), so the handler can walk the
-// table with plain loads. Each slot has a single writer (its thread); the
-// handler is the only concurrent reader, synchronized by the head/depth
-// release stores.
+// Fixed per-thread storage. Slots are heap-allocated on a thread's first
+// use and published into a fixed pointer table; they are never freed, so
+// the handler can walk the table with plain loads. A slot has one writer at
+// a time (the thread that owns it); an exiting thread gives it back, and
+// the next new thread takes it over. Readers (the handler, dump, the
+// profiler) synchronize on the head/depth release stores.
+
+constexpr std::size_t kSpanNameWords = FlightRecorder::kSpanNameLen / 8;
 
 struct FlightRecorder::ThreadSlot {
-  std::uint64_t os_tid = 0;
+  std::atomic<std::uint64_t> os_tid{0};
+  std::atomic<bool> owned{false};  ///< a live thread records here
 
   // Event ring: head counts events ever recorded; slot = head % capacity.
   std::atomic<std::uint64_t> head{0};
   FlightEvent events[kEventsPerThread];
 
-  // Active span stack: names are copied in at push time (no pointers into
-  // stack frames), depth published with release so the handler sees a
+  // Live span stack: names are copied in at push time (no pointers into
+  // stack frames) as atomic words; span_seq is odd while a push writes a
+  // name, and depth is published with release, so every reader sees a
   // consistent prefix.
   std::atomic<std::uint32_t> span_depth{0};
-  char span_names[kMaxSpanDepth][kSpanNameLen];
+  std::atomic<std::uint32_t> span_seq{0};
+  std::atomic<std::uint64_t> span_names[kMaxSpanDepth][kSpanNameWords];
 };
 
 namespace {
 
+static_assert(FlightRecorder::kSpanNameLen % 8 == 0, "span names are stored as 8-byte words");
+
+void store_name(std::atomic<std::uint64_t>* words, const char* name) {
+  char buf[FlightRecorder::kSpanNameLen] = {0};
+  sanitize_into(buf, sizeof(buf), name);
+  for (std::size_t w = 0; w < kSpanNameWords; ++w) {
+    std::uint64_t v;
+    std::memcpy(&v, buf + 8 * w, 8);
+    words[w].store(v, std::memory_order_relaxed);
+  }
+}
+
+/// Copies a stored name out; `out` holds kSpanNameLen bytes, NUL-terminated.
+void load_name(const std::atomic<std::uint64_t>* words, char* out) {
+  for (std::size_t w = 0; w < kSpanNameWords; ++w) {
+    const std::uint64_t v = words[w].load(std::memory_order_relaxed);
+    std::memcpy(out + 8 * w, &v, 8);
+  }
+  out[FlightRecorder::kSpanNameLen - 1] = '\0';
+}
+
 std::atomic<FlightRecorder::ThreadSlot*> g_slots[FlightRecorder::kMaxThreads];
-std::atomic<std::uint32_t> g_slot_count{0};
+std::atomic<std::uint32_t> g_slot_count{0};  ///< slots ever published (may overshoot)
+
+std::uint32_t published_slots() {
+  const std::uint32_t n = g_slot_count.load(std::memory_order_acquire);
+  return n < FlightRecorder::kMaxThreads ? n : FlightRecorder::kMaxThreads;
+}
 
 // Metrics snapshot the handler embeds verbatim: pre-escaped as JSON string
 // content at refresh time (off the signal path).
 constexpr std::size_t kMetricsSnapshotCap = 256 * 1024;
 char g_metrics_snapshot[kMetricsSnapshotCap];
 std::atomic<std::size_t> g_metrics_snapshot_len{0};
+/// Serializes snapshot refreshes with programmatic dumps (which share the
+/// dump buffer too). The signal handler never takes it.
+std::mutex g_snapshot_mu;
 
 // The dump is rendered into static storage: the handler cannot malloc, and
 // untouched BSS pages cost nothing until a crash actually happens.
@@ -132,26 +168,44 @@ constexpr std::size_t kDumpBufCap = 8 * 1024 * 1024;
 char g_dump_buf[kDumpBufCap];
 
 thread_local FlightRecorder::ThreadSlot* t_slot = nullptr;
-thread_local bool t_slot_overflow = false;
+/// Set when the table was full, and once the thread starts exiting: from
+/// then on this thread records nothing.
+thread_local bool t_slot_unavailable = false;
+
+/// Gives the thread's slot back at thread exit.
+struct SlotRelease {
+  ~SlotRelease() {
+    t_slot_unavailable = true;
+    if (t_slot == nullptr) return;
+    t_slot->span_depth.store(0, std::memory_order_release);
+    t_slot->owned.store(false, std::memory_order_release);
+    t_slot = nullptr;
+  }
+};
 
 struct sigaction g_prev_actions[32];
+
+/// Writes the first n bytes of the dump buffer to `path` (AS-safe: open,
+/// write, close). False when the file could not be written in full.
+bool write_dump(const char* path, std::size_t n) {
+  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  std::size_t off = 0;
+  while (off < n) {
+    const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
+    if (w <= 0) break;
+    off += static_cast<std::size_t>(w);
+  }
+  ::close(fd);
+  return off == n;
+}
 
 }  // namespace
 
 void flight_recorder_signal_handler(int signo) {
   FlightRecorder& rec = FlightRecorder::instance();
   FlightRecorder::record(EventKind::kSignal, 0, "fatal signal", signo, 0);
-  const std::size_t n = rec.render_dump(g_dump_buf, kDumpBufCap, signo);
-  const int fd = ::open(rec.dump_path(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) {
-    std::size_t off = 0;
-    while (off < n) {
-      const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
-      if (w <= 0) break;
-      off += static_cast<std::size_t>(w);
-    }
-    ::close(fd);
-  }
+  write_dump(rec.dump_path(), rec.render_dump(g_dump_buf, kDumpBufCap, signo));
   // Restore the default disposition and re-raise so the process still dies
   // with the original signal (exit status / core dump preserved).
   ::signal(signo, SIG_DFL);
@@ -167,9 +221,11 @@ FlightRecorder::FlightRecorder() : epoch_us_(steady_us()) {}
 
 void FlightRecorder::enable() {
   enabled_.store(true, std::memory_order_relaxed);
-  // Spans now also maintain the per-thread forensic stack (one extra copy
-  // per span while enabled; still a single relaxed load when not).
-  detail::set_forensics_spans(true);
+  // Spans now also maintain the per-thread live stack (one extra copy per
+  // span while enabled; still a single relaxed load when not), and the
+  // request table keeps records for the request/shed/stall events.
+  detail::set_span_stack_user(detail::kStackUserRecorder, true);
+  RequestTable::instance().record_flight_events();
 }
 
 void FlightRecorder::install(const std::string& dir) {
@@ -203,14 +259,31 @@ void FlightRecorder::install(const std::string& dir) {
 
 FlightRecorder::ThreadSlot* FlightRecorder::slot_for_this_thread() {
   if (t_slot != nullptr) return t_slot;
-  if (t_slot_overflow) return nullptr;
+  if (t_slot_unavailable) return nullptr;
+  thread_local SlotRelease release;  // hands the slot back at thread exit
+  const auto os_tid = static_cast<std::uint64_t>(::syscall(SYS_gettid));
+  // An exited thread's slot first: its old events give way to ours.
+  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
+    ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
+    bool expected = false;
+    if (slot == nullptr ||
+        !slot->owned.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
+      continue;
+    }
+    slot->os_tid.store(os_tid, std::memory_order_relaxed);
+    slot->head.store(0, std::memory_order_release);
+    slot->span_depth.store(0, std::memory_order_release);
+    t_slot = slot;
+    return slot;
+  }
   const std::uint32_t idx = g_slot_count.fetch_add(1, std::memory_order_relaxed);
   if (idx >= kMaxThreads) {
-    t_slot_overflow = true;  // beyond the fixed table: this thread records nothing
+    t_slot_unavailable = true;  // every slot is held by a live thread
     return nullptr;
   }
   auto* slot = new ThreadSlot();
-  slot->os_tid = static_cast<std::uint64_t>(::syscall(SYS_gettid));
+  slot->os_tid.store(os_tid, std::memory_order_relaxed);
+  slot->owned.store(true, std::memory_order_relaxed);
   g_slots[idx].store(slot, std::memory_order_release);
   t_slot = slot;
   return slot;
@@ -234,13 +307,15 @@ void FlightRecorder::record(EventKind kind, std::uint64_t trace_id, const char* 
 }
 
 void FlightRecorder::push_span(const char* name) {
-  FlightRecorder& rec = instance();
-  if (!rec.enabled_.load(std::memory_order_relaxed)) return;
-  ThreadSlot* slot = rec.slot_for_this_thread();
+  ThreadSlot* slot = instance().slot_for_this_thread();
   if (slot == nullptr) return;
   const std::uint32_t depth = slot->span_depth.load(std::memory_order_relaxed);
   if (depth < kMaxSpanDepth) {
-    sanitize_into(slot->span_names[depth], kSpanNameLen, name);
+    const std::uint32_t seq = slot->span_seq.load(std::memory_order_relaxed);
+    slot->span_seq.store(seq + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    store_name(slot->span_names[depth], name);
+    slot->span_seq.store(seq + 2, std::memory_order_release);
   }
   // Depth grows past the table when spans nest absurdly deep; pops below
   // shrink it back and the overflow frames are simply not named.
@@ -248,16 +323,41 @@ void FlightRecorder::push_span(const char* name) {
 }
 
 void FlightRecorder::pop_span() {
-  FlightRecorder& rec = instance();
-  if (!rec.enabled_.load(std::memory_order_relaxed)) return;
   ThreadSlot* slot = t_slot;  // a pop always follows this thread's push
   if (slot == nullptr) return;
   const std::uint32_t depth = slot->span_depth.load(std::memory_order_relaxed);
   if (depth > 0) slot->span_depth.store(depth - 1, std::memory_order_release);
 }
 
+void FlightRecorder::fold_span_stacks(std::vector<std::string>& out) {
+  char name[kSpanNameLen];
+  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
+    const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
+    if (slot == nullptr) continue;
+    // Retry while a push rewrites a name under us; a thread that keeps
+    // pushing is simply skipped this sample.
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      const std::uint32_t seq = slot->span_seq.load(std::memory_order_acquire);
+      if ((seq & 1) != 0) continue;
+      std::uint32_t depth = slot->span_depth.load(std::memory_order_acquire);
+      if (depth > kMaxSpanDepth) depth = kMaxSpanDepth;
+      std::string folded;
+      for (std::uint32_t d = 0; d < depth; ++d) {
+        load_name(slot->span_names[d], name);
+        if (d > 0) folded += ';';
+        folded += name;
+      }
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (slot->span_seq.load(std::memory_order_relaxed) != seq) continue;
+      if (!folded.empty()) out.push_back(std::move(folded));
+      break;
+    }
+  }
+}
+
 void FlightRecorder::refresh_metrics_snapshot() {
   const std::string text = MetricsRegistry::global().render_prometheus();
+  std::lock_guard<std::mutex> lock(g_snapshot_mu);
   std::size_t n = 0;
   for (char raw : text) {
     if (n + 8 >= kMetricsSnapshotCap) break;  // worst-case escape is 6 bytes
@@ -302,16 +402,16 @@ std::size_t FlightRecorder::render_dump(char* buf, std::size_t cap,
   out.str(build.native_kernel ? "true" : "false");
   out.str("},\"threads\":[");
 
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
   bool first_thread = true;
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
+  char name[kSpanNameLen];
+  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
     const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
     if (slot == nullptr) continue;
     if (!first_thread) out.ch(',');
     first_thread = false;
 
     out.str("{\"tid\":");
-    out.u64(slot->os_tid);
+    out.u64(slot->os_tid.load(std::memory_order_relaxed));
 
     out.str(",\"span_stack\":[");
     std::uint32_t depth = slot->span_depth.load(std::memory_order_acquire);
@@ -319,7 +419,8 @@ std::size_t FlightRecorder::render_dump(char* buf, std::size_t cap,
     for (std::uint32_t d = 0; d < depth; ++d) {
       if (d > 0) out.ch(',');
       out.ch('"');
-      out.str(slot->span_names[d]);
+      load_name(slot->span_names[d], name);
+      out.str(name);
       out.ch('"');
     }
     out.str("],\"events\":[");
@@ -353,23 +454,13 @@ std::size_t FlightRecorder::render_dump(char* buf, std::size_t cap,
 }
 
 bool FlightRecorder::dump(const std::string& path, int signal_number) {
-  const std::size_t n = render_dump(g_dump_buf, kDumpBufCap, signal_number);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
-    if (w <= 0) break;
-    off += static_cast<std::size_t>(w);
-  }
-  ::close(fd);
-  return off == n;
+  std::lock_guard<std::mutex> lock(g_snapshot_mu);
+  return write_dump(path.c_str(), render_dump(g_dump_buf, kDumpBufCap, signal_number));
 }
 
 std::size_t FlightRecorder::recorded() const {
   std::size_t total = 0;
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
+  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
     const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
     if (slot == nullptr) continue;
     const std::uint64_t head = slot->head.load(std::memory_order_acquire);
@@ -379,8 +470,7 @@ std::size_t FlightRecorder::recorded() const {
 }
 
 void FlightRecorder::clear() {
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
+  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
     ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
     if (slot == nullptr) continue;
     slot->head.store(0, std::memory_order_release);

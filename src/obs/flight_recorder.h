@@ -14,7 +14,19 @@
 //     frames),
 //   - per-thread event rings, oldest to newest,
 //   - the most recent metrics-registry snapshot (refreshed off the signal
-//     path by the watchdog tick — the handler only copies bytes).
+//     path by the request table's monitor tick — the handler only copies
+//     bytes).
+//
+// The per-thread span stack is the process's only live-span stack: the
+// Profiler samples it too (fold_span_stacks), so it is kept whenever
+// either consumer is on. Names are stored as relaxed atomic words under a
+// per-thread sequence count, so a sampler on another thread never folds a
+// half-written name.
+//
+// A thread's slot returns to the table when the thread exits and is handed
+// to the next new thread; until then the exited thread's last events stay
+// in the dump. Thread-per-connection servers churn threads, and the fixed
+// table must not fill up with the dead.
 //
 // Async-signal-safety contract for the handler path: no malloc, no locks,
 // no stdio — only open/write/close on a pre-computed path, formatting into
@@ -24,9 +36,9 @@
 // plain loads.
 //
 // Recording cost when disabled: one relaxed atomic load per record() call
-// (and span-stack maintenance is additionally gated behind the
-// kSpanMaskForensics bit in obs::detail::g_span_mask, so an inert Span
-// still costs exactly one load — bench_serve guards this).
+// (and span-stack maintenance is gated behind the kSpanMaskStack bit in
+// obs::detail::g_span_mask, so an inert Span still costs exactly one load —
+// bench_serve guards this).
 //
 // enable() turns on recording only (tests, programmatic use); install(dir)
 // additionally registers the signal handlers and fixes the dump path to
@@ -36,16 +48,17 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace paintplace::obs {
 
 enum class EventKind : std::uint8_t {
   kLog = 0,      ///< a structured log line was emitted (msg = subsystem.event)
-  kRequest = 1,  ///< request admitted to a replica (a = replica, b = queue depth)
-  kShed = 2,     ///< request shed (msg = reason)
+  kRequest = 1,  ///< request admitted to a replica (a = replica, b = client)
+  kShed = 2,     ///< request shed (msg = reason, a = client)
   kSwap = 3,     ///< model hot-swap (a = new version)
   kDrain = 4,    ///< server drain started
-  kStall = 5,    ///< watchdog stall report (a = age ms, b = replica)
+  kStall = 5,    ///< stall report (a = age ms, b = replica)
   kSignal = 6,   ///< fatal signal entered the handler (a = signo)
   kMark = 7,     ///< free-form marker (tests, tools)
 };
@@ -88,14 +101,18 @@ class FlightRecorder {
   static void record(EventKind kind, std::uint64_t trace_id, const char* msg,
                      std::int64_t a = 0, std::int64_t b = 0);
 
-  /// Span-stack hooks, driven by obs::Span when kSpanMaskForensics is set.
+  /// Span-stack hooks, driven by obs::Span when kSpanMaskStack is set.
   /// The name is copied into recorder-owned storage at push time.
   static void push_span(const char* name);
   static void pop_span();
 
+  /// Appends every thread's live span stack, folded "outer;inner;leaf",
+  /// for each thread inside at least one span (the Profiler's sample).
+  static void fold_span_stacks(std::vector<std::string>& out);
+
   /// Copies the global metrics registry's Prometheus text into the
   /// preallocated snapshot buffer the signal handler embeds in the dump.
-  /// Called off the signal path (watchdog tick, install time).
+  /// Called off the signal path (monitor tick, install time).
   void refresh_metrics_snapshot();
 
   /// Writes the post-mortem JSON to `path` programmatically (tests, drain

@@ -37,16 +37,18 @@ void Histogram::record(double value) {
 }
 
 void Histogram::record(double value, std::uint64_t trace_id) {
+  if (trace_id != 0) {
+    // Last-write-wins per bucket; the two stores are independently atomic,
+    // so a torn pair can at worst pair a trace with a neighbouring sample's
+    // value from the same bucket — fine for a debugging breadcrumb. Stored
+    // before the count moves, so a reader that sees the sample sees it.
+    const double v = value < 0.0 ? 0.0 : value;
+    const auto b = static_cast<std::size_t>(bucket_of(v));
+    exemplar_trace_[b].store(trace_id, std::memory_order_relaxed);
+    exemplar_millionths_[b].store(static_cast<std::uint64_t>(v * 1e6),
+                                  std::memory_order_relaxed);
+  }
   record(value);
-  if (trace_id == 0) return;
-  if (value < 0.0) value = 0.0;
-  // Last-write-wins per bucket; the two stores are independently atomic, so
-  // a torn pair can at worst pair a trace with a neighbouring sample's
-  // value from the same bucket — fine for a debugging breadcrumb.
-  const auto b = static_cast<std::size_t>(bucket_of(value));
-  exemplar_trace_[b].store(trace_id, std::memory_order_relaxed);
-  exemplar_millionths_[b].store(static_cast<std::uint64_t>(value * 1e6),
-                                std::memory_order_relaxed);
 }
 
 double Histogram::exemplar_value(int b) const {
@@ -90,6 +92,7 @@ double Histogram::quantile(double q) const {
 
 void Histogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  for (auto& e : exemplar_trace_) e.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_millionths_.store(0, std::memory_order_relaxed);
 }
@@ -165,12 +168,10 @@ const Histogram* MetricsRegistry::find_histogram(const std::string& name) const 
              : nullptr;
 }
 
-std::string MetricsRegistry::render_prometheus(
-    const std::function<bool(const std::string&)>& keep) const {
+std::string MetricsRegistry::render_prometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const auto& [name, entry] : entries_) {
-    if (keep && !keep(name)) continue;
     if (!entry.help.empty()) out += "# HELP " + name + " " + entry.help + "\n";
     switch (entry.kind) {
       case Kind::kCounter:
@@ -202,7 +203,7 @@ std::string MetricsRegistry::render_prometheus(
               last ? std::string("+Inf") : format_value(Histogram::bucket_upper(b));
           out += name + "_bucket{le=\"" + le + "\"} " +
                  std::to_string(last ? h.count() : cumulative) + "\n";
-          // Exemplar: the most recent retained trace that landed in this
+          // Exemplar: the most recent traced request that landed in this
           // band, as a comment so plain Prometheus-text parsers pass over
           // it (OpenMetrics exemplars need the openmetrics content type).
           const std::uint64_t exemplar = h.exemplar_trace(b);

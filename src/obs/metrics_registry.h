@@ -1,9 +1,7 @@
 // paintplace::obs — unified metrics registry.
 //
 // One process-wide home for every counter, gauge, and histogram the stack
-// emits, replacing the per-subsystem silos (net::Metrics used to own its
-// atomics privately; it is now a typed view over this registry — see
-// net/metrics.h). Metrics are get-or-create by name: the first caller
+// emits (net::Metrics is a typed view over it — see net/metrics.h). Metrics are get-or-create by name: the first caller
 // creates the instrument, later callers bind the same one, so the serving
 // path, the training loop, and the GEMM wrappers all land in a single
 // exposition.
@@ -16,8 +14,8 @@
 //
 // Exposition is Prometheus text format: `# TYPE` headers, `name value`
 // samples, histograms as cumulative `_bucket{le="..."}` series plus `_sum`
-// and `_count`. A flat `grep '^name '` keeps working — samples are still
-// one `name value` per line.
+// and `_count`. A flat `grep '^name '` works — samples are one
+// `name value` per line.
 #pragma once
 
 #include <array>
@@ -76,7 +74,7 @@ class Histogram {
 
   void record(double value);
   /// Records `value` and attaches `trace_id` as the bucket's exemplar — the
-  /// most recent retained trace that landed in that latency band. 0 leaves
+  /// most recent traced request that landed in that latency band. 0 leaves
   /// the exemplar untouched. Exposition renders exemplars as `# EXEMPLAR`
   /// comment lines so an operator can jump from a histogram bucket straight
   /// to a concrete trace (OpenMetrics-style, comment-encoded to stay plain
@@ -105,6 +103,7 @@ class Histogram {
   /// ships bucket counts over a pipe).
   static double quantile_of(const std::array<std::uint64_t, kBuckets>& buckets, double q);
 
+  /// Zeroes the counts and drops the exemplars.
   void reset();
 
   std::uint64_t bucket_count(int b) const {
@@ -156,11 +155,9 @@ class MetricsRegistry {
   const Counter* find_counter(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
 
-  /// Prometheus text exposition of every instrument, in name order. `keep`
-  /// (when set) filters by name — the net front-end uses it to exclude the
-  /// counters its legacy flat block already lists.
-  std::string render_prometheus(
-      const std::function<bool(const std::string&)>& keep = nullptr) const;
+  /// Prometheus text exposition of every instrument, in name order — what
+  /// the PPN1 metrics frame and `forecast_serve --metrics-dump` return.
+  std::string render_prometheus() const;
 
   /// Registered instrument names, in name order (tests, debugging).
   std::vector<std::string> names() const;

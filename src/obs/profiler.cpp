@@ -3,135 +3,45 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 
 namespace paintplace::obs {
-
-// ---- Per-thread stacks ------------------------------------------------------
-
-/// One thread's live-span stack. The mutex is per-stack and only contended
-/// by the sampler sweep (the owning thread is the sole pusher/popper), so a
-/// push is effectively an uncontended lock plus a pointer store. The frame
-/// pointers reference Span-owned inline name buffers: a Span pops (under
-/// this mutex) before its buffer dies, so the sampler — which reads under
-/// the same mutex — can never see a dangling frame. Stacks of exited
-/// threads return to a freelist, mirroring the tracer's ring reuse.
-struct Profiler::ThreadStack {
-  std::mutex mu;
-  const char* frames[Profiler::kMaxDepth] = {nullptr};
-  int depth = 0;  ///< may exceed kMaxDepth; only the first kMaxDepth record
-};
-
-namespace {
-
-struct ThreadStackHandleImpl {
-  Profiler* profiler = nullptr;
-  std::shared_ptr<Profiler::ThreadStack> stack;
-  ~ThreadStackHandleImpl();
-};
-
-}  // namespace
-
-struct ThreadStackHandle {
-  static std::shared_ptr<Profiler::ThreadStack> claim(Profiler& p) {
-    std::lock_guard<std::mutex> lock(p.stacks_mu_);
-    if (!p.free_stacks_.empty()) {
-      auto stack = p.free_stacks_.back();
-      p.free_stacks_.pop_back();
-      return stack;
-    }
-    auto stack = std::make_shared<Profiler::ThreadStack>();
-    p.stacks_.push_back(stack);
-    return stack;
-  }
-
-  static void release(Profiler& p, std::shared_ptr<Profiler::ThreadStack> stack) {
-    std::lock_guard<std::mutex> lock(p.stacks_mu_);
-    p.free_stacks_.push_back(std::move(stack));
-  }
-};
-
-namespace {
-
-ThreadStackHandleImpl::~ThreadStackHandleImpl() {
-  if (profiler != nullptr && stack != nullptr) {
-    ThreadStackHandle::release(*profiler, std::move(stack));
-  }
-}
-
-}  // namespace
-
-Profiler::ThreadStack& Profiler::stack_for_this_thread() {
-  thread_local ThreadStackHandleImpl handle;
-  if (handle.stack == nullptr) {
-    handle.profiler = this;
-    handle.stack = ThreadStackHandle::claim(*this);
-  }
-  return *handle.stack;
-}
-
-// ---- Profiler ---------------------------------------------------------------
 
 Profiler& Profiler::instance() {
   static Profiler profiler;
   return profiler;
 }
 
-bool Profiler::enabled() const {
-  return (detail::g_span_mask.load(std::memory_order_relaxed) & detail::kSpanMaskProfile) != 0;
-}
-
-void Profiler::push(const char* name) {
-  ThreadStack& stack = stack_for_this_thread();
-  std::lock_guard<std::mutex> lock(stack.mu);
-  if (stack.depth < kMaxDepth) stack.frames[stack.depth] = name;
-  stack.depth += 1;
-}
-
-void Profiler::pop() {
-  ThreadStack& stack = stack_for_this_thread();
-  std::lock_guard<std::mutex> lock(stack.mu);
-  if (stack.depth > 0) stack.depth -= 1;
-}
-
 void Profiler::start(std::chrono::microseconds period) {
-  if (running_.exchange(true)) return;
-  detail::g_span_mask.fetch_or(detail::kSpanMaskProfile, std::memory_order_relaxed);
+  if (on_.exchange(true)) return;
+  detail::set_span_stack_user(detail::kStackUserProfiler, true);
   sampler_ = std::thread([this, period] {
-    while (running_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(period);
+    std::unique_lock<std::mutex> lock(run_mu_);
+    while (!run_cv_.wait_for(lock, period, [this] { return !enabled(); })) {
+      lock.unlock();
       sample_once();
+      lock.lock();
     }
   });
 }
 
 void Profiler::stop() {
-  detail::g_span_mask.fetch_and(
-      static_cast<std::uint8_t>(~detail::kSpanMaskProfile), std::memory_order_relaxed);
-  if (!running_.exchange(false)) return;
+  {
+    std::lock_guard<std::mutex> lock(run_mu_);
+    if (!on_.exchange(false)) return;
+  }
+  detail::set_span_stack_user(detail::kStackUserProfiler, false);
+  run_cv_.notify_all();
   if (sampler_.joinable()) sampler_.join();
 }
 
 void Profiler::sample_once() {
-  std::vector<std::shared_ptr<ThreadStack>> stacks;
-  {
-    std::lock_guard<std::mutex> lock(stacks_mu_);
-    stacks = stacks_;
-  }
+  if (!enabled()) return;
   // Fold each non-idle stack outside the aggregate lock, then merge.
   std::vector<std::string> folded;
-  for (const auto& stack : stacks) {
-    std::lock_guard<std::mutex> lock(stack->mu);
-    const int depth = std::min(stack->depth, kMaxDepth);
-    if (depth == 0) continue;
-    std::string key;
-    for (int i = 0; i < depth; ++i) {
-      if (i > 0) key += ';';
-      key += stack->frames[i];
-    }
-    folded.push_back(std::move(key));
-  }
+  FlightRecorder::fold_span_stacks(folded);
   if (folded.empty()) return;
   std::lock_guard<std::mutex> lock(agg_mu_);
   for (auto& key : folded) {

@@ -10,11 +10,12 @@
 // stacks read like a flame graph of the *request pipeline*, not of libc
 // internals — and the whole thing works on any platform the tracer does.
 //
-// Cost model matches Span tracing: when the profiler is off (the default) a
-// Span construction still costs exactly one relaxed atomic load — the same
-// load tracing uses, one combined flags word (see obs::detail::g_span_mask
-// in trace.h) — and bench_serve's overhead guard covers both. When on, a
-// push/pop is an uncontended per-thread mutex plus a pointer store.
+// The live-span stacks are the flight recorder's (flight_recorder.h): one
+// per thread, names copied in at push, kept whenever the profiler or the
+// recorder is on. When both are off (the default) a Span construction
+// costs exactly one relaxed atomic load — the same load tracing uses, one
+// combined flags word (see obs::detail::g_span_mask in trace.h) — and
+// bench_serve's overhead guard covers it.
 //
 // Export: collapsed() emits standard collapsed-stack text, one
 // "a;b;c count" per line — feed it to inferno/flamegraph.pl or paste into
@@ -24,9 +25,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -37,23 +38,21 @@ namespace paintplace::obs {
 
 class Profiler {
  public:
-  /// Frames kept per thread stack; deeper nesting still balances push/pop
-  /// but the excess frames are not recorded.
-  static constexpr int kMaxDepth = 64;
-
   static Profiler& instance();
 
-  bool enabled() const;
+  /// Whether the profiler is on (between start() and stop()).
+  bool enabled() const { return on_.load(std::memory_order_relaxed); }
 
-  /// Starts the background sampler at the given period and turns on the
-  /// span push/pop hook. Idempotent while running.
+  /// Turns the live-span stacks on and starts the background sampler at
+  /// the given period. Idempotent while running.
   void start(std::chrono::microseconds period = std::chrono::milliseconds(2));
-  /// Turns the hook off and joins the sampler thread. Aggregates survive
-  /// until clear() so they can be exported after the run.
+  /// Stops and joins the sampler. Aggregates survive until clear() so they
+  /// can be exported after the run.
   void stop();
 
   /// One sweep over every thread's live stack (the sampler thread's body;
-  /// public so tests and benches can sample deterministically).
+  /// public so tests and benches can sample deterministically). Takes no
+  /// sample while the profiler is off.
   void sample_once();
 
   void clear();
@@ -68,30 +67,18 @@ class Profiler {
   /// The k hottest folded stacks, by sample count descending.
   std::vector<std::pair<std::string, std::uint64_t>> top_k(std::size_t k) const;
 
-  /// Span hooks — called from Span's constructor/destructor when the
-  /// profile bit of the span mask is set. `name` must stay valid until the
-  /// matching pop (Span passes its inline event buffer).
-  void push(const char* name);
-  void pop();
-
-  struct ThreadStack;  ///< per-thread live-span stack (defined in profiler.cpp)
-
  private:
   Profiler() = default;
-  ThreadStack& stack_for_this_thread();
 
-  mutable std::mutex stacks_mu_;
-  std::vector<std::shared_ptr<ThreadStack>> stacks_;
-  std::vector<std::shared_ptr<ThreadStack>> free_stacks_;  ///< from exited threads
+  std::atomic<bool> on_{false};
 
   mutable std::mutex agg_mu_;
   std::map<std::string, std::uint64_t> aggregate_;
   std::uint64_t samples_ = 0;
 
-  std::atomic<bool> running_{false};
+  std::mutex run_mu_;
+  std::condition_variable run_cv_;
   std::thread sampler_;
-
-  friend struct ThreadStackHandle;
 };
 
 }  // namespace paintplace::obs

@@ -7,20 +7,22 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/profiler.h"
-#include "obs/sampler.h"
+#include "obs/request_table.h"
 
 namespace paintplace::obs {
 
 namespace detail {
 std::atomic<std::uint8_t> g_span_mask{0};
 
-void set_forensics_spans(bool on) {
-  if (on) {
-    g_span_mask.fetch_or(kSpanMaskForensics, std::memory_order_relaxed);
+void set_span_stack_user(std::uint8_t user, bool on) {
+  static std::mutex mu;
+  static std::uint8_t users = 0;
+  std::lock_guard<std::mutex> lock(mu);
+  users = on ? static_cast<std::uint8_t>(users | user) : static_cast<std::uint8_t>(users & ~user);
+  if (users != 0) {
+    g_span_mask.fetch_or(kSpanMaskStack, std::memory_order_relaxed);
   } else {
-    g_span_mask.fetch_and(static_cast<std::uint8_t>(~kSpanMaskForensics),
-                          std::memory_order_relaxed);
+    g_span_mask.fetch_and(static_cast<std::uint8_t>(~kSpanMaskStack), std::memory_order_relaxed);
   }
 }
 }  // namespace detail
@@ -88,84 +90,45 @@ struct Tracer::ThreadRing {
   }
 };
 
-namespace {
-
-/// Thread-local handle: claims a ring on first use, returns it to the
-/// tracer's freelist when the thread exits.
-struct ThreadRingHandleImpl {
-  Tracer* tracer = nullptr;
-  std::shared_ptr<Tracer::ThreadRing> ring;
-  ~ThreadRingHandleImpl();
-};
-
-}  // namespace
-
-struct ThreadRingHandle {
-  static std::shared_ptr<Tracer::ThreadRing> claim(Tracer& tracer) {
-    std::lock_guard<std::mutex> lock(tracer.rings_mu_);
-    if (!tracer.free_rings_.empty()) {
-      auto ring = tracer.free_rings_.back();
-      tracer.free_rings_.pop_back();
-      return ring;
-    }
-    auto ring = std::make_shared<Tracer::ThreadRing>(static_cast<int>(tracer.rings_.size()) + 1);
-    tracer.rings_.push_back(ring);
-    return ring;
-  }
-
-  static void release(Tracer& tracer, std::shared_ptr<Tracer::ThreadRing> ring) {
-    std::lock_guard<std::mutex> lock(tracer.rings_mu_);
-    tracer.free_rings_.push_back(std::move(ring));
-  }
-};
-
-namespace {
-
-ThreadRingHandleImpl::~ThreadRingHandleImpl() {
-  if (tracer != nullptr && ring != nullptr) {
-    ThreadRingHandle::release(*tracer, std::move(ring));
-  }
-}
-
-}  // namespace
-
-Tracer::ThreadRing& Tracer::ring_for_this_thread() {
-  return *ring_ptr_for_this_thread();
-}
-
 std::shared_ptr<Tracer::ThreadRing> Tracer::ring_ptr_for_this_thread() {
-  thread_local ThreadRingHandleImpl handle;
+  // Claims a ring on the thread's first span (a freed one when there is
+  // one) and hands it back to the freelist when the thread exits.
+  struct Handle {
+    std::shared_ptr<ThreadRing> ring;
+    ~Handle() {
+      if (ring == nullptr) return;
+      Tracer& tracer = Tracer::instance();
+      std::lock_guard<std::mutex> lock(tracer.rings_mu_);
+      tracer.free_rings_.push_back(std::move(ring));
+    }
+  };
+  thread_local Handle handle;
   if (handle.ring == nullptr) {
-    handle.tracer = this;
-    handle.ring = ThreadRingHandle::claim(*this);
+    std::lock_guard<std::mutex> lock(rings_mu_);
+    if (!free_rings_.empty()) {
+      handle.ring = std::move(free_rings_.back());
+      free_rings_.pop_back();
+    } else {
+      handle.ring = std::make_shared<ThreadRing>(static_cast<int>(rings_.size()) + 1);
+      rings_.push_back(handle.ring);
+    }
   }
   return handle.ring;
 }
 
+std::vector<std::shared_ptr<Tracer::ThreadRing>> Tracer::rings() const {
+  std::lock_guard<std::mutex> lock(rings_mu_);
+  return rings_;
+}
+
 // ---- Tracer -----------------------------------------------------------------
 
-Tracer::Tracer()
-    : sampler_(std::make_unique<Sampler>(
-          [](const Sampler::Ring& ring, const SpanEvent& event) { ring->record(event); })),
-      epoch_(std::chrono::steady_clock::now()) {
+Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {
   if (const char* path = std::getenv("PAINTPLACE_TRACE"); path != nullptr && path[0] != '\0') {
     dump_path_ = path;
     enable();
   }
-  if (const char* every = std::getenv("PAINTPLACE_TRACE_SAMPLE");
-      every != nullptr && every[0] != '\0') {
-    SamplerConfig cfg;
-    cfg.sample_every = std::strtoull(every, nullptr, 10);
-    if (cfg.sample_every == 0) cfg.sample_every = 1;
-    if (const char* slow = std::getenv("PAINTPLACE_TRACE_SLOW_MS");
-        slow != nullptr && slow[0] != '\0') {
-      cfg.slow_threshold_s = std::atof(slow) * 1e-3;
-    }
-    sampler_->configure(cfg);
-  }
 }
-
-Tracer::~Tracer() = default;
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
@@ -192,26 +155,26 @@ bool Tracer::dump_configured() {
 
 void Tracer::record(const SpanEvent& event) {
   const std::shared_ptr<ThreadRing> ring = ring_ptr_for_this_thread();
-  // Request-tied spans route through the tail sampler while it is active:
-  // buffered provisionally, committed to this same ring (or dropped) when
-  // the request finishes. Untied spans and head-sampled requests record
-  // directly, so non-request instrumentation is never lost.
-  if (event.trace_id != 0 && sampler_->active() && sampler_->offer(event, ring)) {
-    return;
+  // Request-tied spans route through the request table while sampling is
+  // on: buffered in the request's record, committed to this same ring (or
+  // dropped) when the request finishes. Untied spans and head-sampled
+  // requests record directly, so non-request instrumentation is never lost.
+  if (event.trace_id != 0) {
+    RequestTable& requests = RequestTable::instance();
+    if (requests.sampling() && requests.offer(event, ring)) return;
   }
   ring->record(event);
 }
 
+void Tracer::commit(const std::shared_ptr<ThreadRing>& ring, const SpanEvent& event) {
+  ring->record(event);
+}
+
 std::string Tracer::dump_json() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   char buf[128];
-  for (const auto& ring : rings) {
+  for (const auto& ring : rings()) {
     std::lock_guard<std::mutex> lock(ring->mu);
     // Oldest-first: with a full ring, `head` is also the oldest slot.
     const std::size_t capacity = ring->events.size();
@@ -278,12 +241,7 @@ bool Tracer::dump_json(const std::string& path) const {
 }
 
 void Tracer::clear() {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
-  for (const auto& ring : rings) {
+  for (const auto& ring : rings()) {
     std::lock_guard<std::mutex> lock(ring->mu);
     ring->size = 0;
     ring->head = 0;
@@ -292,13 +250,8 @@ void Tracer::clear() {
 }
 
 std::uint64_t Tracer::dropped() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
   std::uint64_t total = 0;
-  for (const auto& ring : rings) {
+  for (const auto& ring : rings()) {
     std::lock_guard<std::mutex> lock(ring->mu);
     total += ring->overwritten;
   }
@@ -306,13 +259,8 @@ std::uint64_t Tracer::dropped() const {
 }
 
 std::size_t Tracer::recorded() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
   std::size_t total = 0;
-  for (const auto& ring : rings) {
+  for (const auto& ring : rings()) {
     std::lock_guard<std::mutex> lock(ring->mu);
     total += ring->size;
   }
@@ -339,23 +287,16 @@ ScopedTraceId::~ScopedTraceId() { t_current_trace_id = prev_; }
 // ---- Span -------------------------------------------------------------------
 
 void Span::start(const char* name, const char* category, std::uint8_t mask) {
-  // The name is copied into the inline buffer for *either* mode: the
-  // profiler's live stack points at event_.name, which must outlive the
-  // caller's (possibly temporary) string.
-  copy_str(event_.name, sizeof(event_.name), name);
+  if ((mask & detail::kSpanMaskStack) != 0) {
+    stacked_ = true;
+    FlightRecorder::push_span(name);  // copies the name
+  }
   if ((mask & detail::kSpanMaskTrace) != 0) {
     active_ = true;
+    copy_str(event_.name, sizeof(event_.name), name);
     copy_str(event_.category, sizeof(event_.category), category);
     event_.trace_id = t_current_trace_id;
     start_us_ = Tracer::instance().now_us();
-  }
-  if ((mask & detail::kSpanMaskProfile) != 0) {
-    profiled_ = true;
-    Profiler::instance().push(event_.name);
-  }
-  if ((mask & detail::kSpanMaskForensics) != 0) {
-    forensic_ = true;
-    FlightRecorder::push_span(event_.name);
   }
 }
 
@@ -372,8 +313,7 @@ Span::Span(const std::string& name, const char* category) {
 }
 
 Span::~Span() {
-  if (forensic_) FlightRecorder::pop_span();
-  if (profiled_) Profiler::instance().pop();
+  if (stacked_) FlightRecorder::pop_span();
   if (!active_) return;
   Tracer& tracer = Tracer::instance();
   event_.start_us = start_us_;

@@ -34,19 +34,18 @@ namespace paintplace::obs {
 
 namespace detail {
 /// The one word every Span construction reads: bit 0 = tracing enabled
-/// (Tracer), bit 1 = profiling enabled (Profiler), bit 2 = flight-recorder
-/// span stacks (FlightRecorder — crash forensics). Folding every feature
-/// into a single relaxed atomic load keeps the disabled-path cost of a Span
-/// identical to the tracing-only design — bench_serve guards it.
+/// (Tracer), bit 1 = live-span stack (kept by the FlightRecorder, read by
+/// the Profiler and the post-mortem). Folding every feature into a single
+/// relaxed atomic load keeps the disabled-path cost of a Span identical to
+/// the tracing-only design — bench_serve guards it.
 inline constexpr std::uint8_t kSpanMaskTrace = 0x1;
-inline constexpr std::uint8_t kSpanMaskProfile = 0x2;
-inline constexpr std::uint8_t kSpanMaskForensics = 0x4;
+inline constexpr std::uint8_t kSpanMaskStack = 0x2;
 extern std::atomic<std::uint8_t> g_span_mask;
-/// Turns the forensics bit on (FlightRecorder::enable / install call this).
-void set_forensics_spans(bool on);
+/// Live-span stack consumers; the stack bit is set while any is on.
+inline constexpr std::uint8_t kStackUserRecorder = 0x1;
+inline constexpr std::uint8_t kStackUserProfiler = 0x2;
+void set_span_stack_user(std::uint8_t user, bool on);
 }  // namespace detail
-
-class Sampler;
 
 /// One key/value annotation on a span. Keys are static strings (the call
 /// sites own them); string values are truncated to fit the inline buffer.
@@ -77,9 +76,7 @@ class Tracer {
   static constexpr std::size_t kRingCapacity = 8192;  ///< events per thread
 
   /// Process-wide tracer. First call reads PAINTPLACE_TRACE: when set, the
-  /// tracer starts enabled and remembers the value as the dump path — and
-  /// PAINTPLACE_TRACE_SAMPLE / PAINTPLACE_TRACE_SLOW_MS, which configure
-  /// the tail sampler (see sampler.h).
+  /// tracer starts enabled and remembers the value as the dump path.
   static Tracer& instance();
 
   bool enabled() const {
@@ -94,11 +91,6 @@ class Tracer {
         static_cast<std::uint8_t>(~detail::kSpanMaskTrace), std::memory_order_relaxed);
   }
 
-  /// The tail-based sampling policy (inactive by default: every recorded
-  /// span lands in its ring). See sampler.h for the begin/offer/finish
-  /// protocol the request front-end drives.
-  Sampler& sampler() { return *sampler_; }
-
   /// Sets (and overrides) the dump path and enables tracing — the
   /// programmatic twin of PAINTPLACE_TRACE.
   void configure(const std::string& dump_path);
@@ -107,8 +99,14 @@ class Tracer {
   /// file was written. Idempotent — safe to call from several drain paths.
   bool dump_configured();
 
-  /// Appends one completed event to the calling thread's ring.
+  /// Appends one completed event to the calling thread's ring, unless the
+  /// request table holds it back for a sampling decision.
   void record(const SpanEvent& event);
+
+  struct ThreadRing;  ///< opaque per-thread ring (defined in trace.cpp)
+  /// Writes an event the request table held back into the ring it was
+  /// recorded from (thread attribution survives the delay).
+  static void commit(const std::shared_ptr<ThreadRing>& ring, const SpanEvent& event);
 
   /// Chrome Trace Event Format JSON of every ring's events.
   std::string dump_json() const;
@@ -122,23 +120,17 @@ class Tracer {
   /// Events currently held across all rings.
   std::size_t recorded() const;
 
-  struct ThreadRing;  ///< opaque per-thread ring (defined in trace.cpp)
-
  private:
   Tracer();
-  ~Tracer();  // defined in trace.cpp (Sampler is incomplete here)
-  ThreadRing& ring_for_this_thread();
   std::shared_ptr<ThreadRing> ring_ptr_for_this_thread();
+  std::vector<std::shared_ptr<ThreadRing>> rings() const;  ///< snapshot
 
-  std::unique_ptr<Sampler> sampler_;
   std::string dump_path_;
   std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex rings_mu_;
   std::vector<std::shared_ptr<ThreadRing>> rings_;
   std::vector<std::shared_ptr<ThreadRing>> free_rings_;  ///< from exited threads
-
-  friend struct ThreadRingHandle;
 
  public:
   std::uint64_t now_us() const {
@@ -176,11 +168,11 @@ class ScopedTraceId {
 };
 
 /// RAII span: times from construction to destruction and records into the
-/// tracer's ring. When both tracing and profiling are disabled at
+/// tracer's ring. When tracing and the live-span stack are both off at
 /// construction the span is inert — one relaxed atomic load, then no clock
-/// reads, no string copies, no recording. With the profiler on, the span
-/// additionally sits on its thread's live-span stack for the lifetime of
-/// the scope (see profiler.h).
+/// reads, no string copies, no recording. With the stack on (flight
+/// recorder or profiler), the span's name also sits on its thread's
+/// live-span stack for the lifetime of the scope (see flight_recorder.h).
 class Span {
  public:
   explicit Span(const char* name, const char* category = "app");
@@ -205,9 +197,8 @@ class Span {
  private:
   void start(const char* name, const char* category, std::uint8_t mask);
 
-  bool active_ = false;    ///< tracing: record into the ring on destruction
-  bool profiled_ = false;  ///< profiling: pushed onto the live-span stack
-  bool forensic_ = false;  ///< forensics: pushed onto the flight-recorder stack
+  bool active_ = false;   ///< tracing: record into the ring on destruction
+  bool stacked_ = false;  ///< pushed onto the live-span stack
   double flops_ = 0.0;
   std::uint64_t start_us_ = 0;
   SpanEvent event_;

@@ -7,7 +7,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics_registry.h"
-#include "obs/sampler.h"
+#include "obs/request_table.h"
 #include "obs/trace.h"
 
 namespace paintplace::serve {
@@ -54,7 +54,7 @@ ForecastServer::ForecastServer(const ServeConfig& config,
     obs::SamplerConfig sampler_cfg;
     sampler_cfg.sample_every = config_.trace_sample;
     sampler_cfg.slow_threshold_s = config_.trace_slow_ms * 1e-3;
-    obs::Tracer::instance().sampler().configure(sampler_cfg);
+    obs::RequestTable::instance().configure_sampling(sampler_cfg);
   }
   registry_.publish(std::move(model), std::move(label));
   worker_ = std::thread([this] { worker_loop(); });

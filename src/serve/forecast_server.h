@@ -48,8 +48,8 @@ struct ServeConfig {
   /// on shutdown. Like the backend, the tracer is process-wide.
   std::string trace;
   /// Tail-based trace sampling: head-sample 1-in-this-many requests, always
-  /// retain slow/shed/error requests (see obs/sampler.h). 0 keeps the
-  /// record-everything behavior. The sampler — like the tracer — is
+  /// retain slow/shed/error requests (see obs/request_table.h). 0 keeps the
+  /// record-everything behavior. Sampling — like the tracer — is
   /// process-wide; the request lifecycle (begin/finish) is driven by the
   /// net front-end, so this knob only matters behind a NetServer.
   std::uint64_t trace_sample = 0;

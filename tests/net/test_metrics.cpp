@@ -1,5 +1,5 @@
 // net::Metrics tests: histogram recording and quantiles, counter rollups,
-// and the text exposition format the metrics endpoint serves.
+// and the registry exposition the metrics endpoint serves.
 #include "net/metrics.h"
 
 #include <gtest/gtest.h>
@@ -74,8 +74,9 @@ TEST(Metrics, ShedTotalSumsBothReasons) {
   EXPECT_EQ(m.shed_total(), 7u);
 }
 
-TEST(Metrics, RenderTextExposesEveryField) {
-  Metrics m;
+TEST(Metrics, ExpositionExposesEveryField) {
+  obs::MetricsRegistry reg;
+  Metrics m(reg);
   m.connections_opened.store(5);
   m.requests_accepted.store(100);
   m.requests_completed.store(90);
@@ -83,19 +84,13 @@ TEST(Metrics, RenderTextExposesEveryField) {
   m.protocol_errors.store(1);
   m.latency.record(2e-3);
 
-  PoolGauges pool;
-  pool.replicas = 2;
-  pool.queue_depth = 3;
-  pool.cache_hits = 40;
-  pool.cache_requests = 100;
-  pool.model_version = 2;
-
-  const std::string text = render_text(m, pool);
-  // One "name value" pair per line, no blank metric names.
+  const std::string text = reg.render_prometheus();
+  // One "name value" pair per sample line, no blank metric names.
   std::istringstream lines(text);
   std::string line;
   int parsed = 0;
   while (std::getline(lines, line)) {
+    if (line.rfind("# ", 0) == 0) continue;
     const std::size_t space = line.find(' ');
     ASSERT_NE(space, std::string::npos) << "unparseable line: " << line;
     ASSERT_GT(space, 0u);
@@ -108,11 +103,9 @@ TEST(Metrics, RenderTextExposesEveryField) {
   EXPECT_NE(text.find("net_requests_completed 90\n"), std::string::npos);
   EXPECT_NE(text.find("net_shed_queue_full 7\n"), std::string::npos);
   EXPECT_NE(text.find("net_protocol_errors 1\n"), std::string::npos);
-  EXPECT_NE(text.find("pool_queue_depth 3\n"), std::string::npos);
-  EXPECT_NE(text.find("pool_model_version 2\n"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p50_ms"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p99_ms"), std::string::npos);
-  EXPECT_NE(text.find("pool_cache_hit_rate"), std::string::npos);
+  EXPECT_NE(text.find("net_request_latency_seconds_count 1\n"), std::string::npos);
+  EXPECT_NE(text.find("net_request_latency_seconds_bucket{le=\"0.002048\"} 1\n"),
+            std::string::npos);
 }
 
 }  // namespace

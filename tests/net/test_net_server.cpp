@@ -10,12 +10,15 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "net/client.h"
+#include "obs/metrics_registry.h"
+#include "obs/trace.h"
 #include "tests/serve/serve_fixtures.h"
 
 namespace paintplace::net {
@@ -127,24 +130,73 @@ TEST(NetServer, GarbageBytesGetAnErrorFrameAndClose) {
   EXPECT_EQ(server.metrics().protocol_errors.load(), 1u);
 }
 
+/// The value of counter or gauge `name` in a Prometheus exposition (0 when
+/// absent).
+double exposed(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t at = text.find(key);
+  return at == std::string::npos ? 0.0 : std::atof(text.c_str() + at + key.size());
+}
+
 TEST(NetServer, MetricsEndpointReflectsTraffic) {
   NetServer server(quick_config(1), tiny_factory());
+  // The serve_* counters are process-wide; take this test's share as deltas.
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  auto counter = [&](const char* name) {
+    const obs::Counter* c = reg.find_counter(name);
+    return c == nullptr ? 0.0 : static_cast<double>(c->load());
+  };
+  const double hits0 = counter("serve_cache_hits_total");
+
   Client client("127.0.0.1", server.port());
   (void)client.forecast(serve::testfix::random_input(6));
   (void)client.forecast(serve::testfix::random_input(6));  // cache hit
 
-  // The completed counter lands just after the response bytes; wait for it
-  // so the scrape below sees both requests.
-  while (server.metrics().requests_completed.load() < 2) {
+  // The completed counter and the latency sample land just after the
+  // response bytes; wait for them so the scrape below sees both requests.
+  while (server.metrics().latency.count() < 2) {
     std::this_thread::sleep_for(1ms);
   }
   const std::string text = client.metrics_text();
   EXPECT_NE(text.find("net_requests_completed 2\n"), std::string::npos);
   EXPECT_NE(text.find("net_requests_accepted 2\n"), std::string::npos);
   EXPECT_NE(text.find("pool_model_version 1\n"), std::string::npos);
-  EXPECT_NE(text.find("pool_cache_hit_rate 0.5000\n"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p99_ms"), std::string::npos);
+  EXPECT_NE(text.find("pool_replicas 1\n"), std::string::npos);
+  EXPECT_NE(text.find("pool_queue_depth 0\n"), std::string::npos);
+  // One cache hit for the two accepted requests: a 0.5 hit rate. (The
+  // miss counter also counts the batch worker's second look, so it is not
+  // the denominator.)
+  EXPECT_EQ(exposed(text, "serve_cache_hits_total") - hits0, 1.0);
+  EXPECT_NE(text.find("net_request_latency_seconds_count 2\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE net_request_latency_seconds histogram\n"), std::string::npos);
   EXPECT_EQ(server.metrics().metrics_requests.load(), 1u);
+}
+
+TEST(NetServer, UntracedRequestsAttachNoExemplar) {
+  obs::Tracer::instance().disable();
+  NetServer server(quick_config(1), tiny_factory());
+  Client client("127.0.0.1", server.port());
+  EXPECT_EQ(client.forecast(serve::testfix::random_input(31)).status, Status::kOk);
+  while (server.metrics().latency.count() < 1) std::this_thread::sleep_for(1ms);
+  const std::string text = client.metrics_text();
+  EXPECT_NE(text.find("net_request_latency_seconds_count 1\n"), std::string::npos);
+  // No trace exists for the request, so no bucket may point at one.
+  EXPECT_EQ(text.find("# EXEMPLAR"), std::string::npos) << text;
+}
+
+TEST(NetServer, TracedRequestsAttachExemplars) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.enable();
+  NetServer server(quick_config(1), tiny_factory());
+  Client client("127.0.0.1", server.port());
+  EXPECT_EQ(client.forecast(serve::testfix::random_input(32)).status, Status::kOk);
+  while (server.metrics().latency.count() < 1) std::this_thread::sleep_for(1ms);
+  const std::string text = client.metrics_text();
+  tracer.disable();
+  tracer.clear();
+  EXPECT_NE(text.find("# EXEMPLAR net_request_latency_seconds_bucket{le="), std::string::npos)
+      << text;
 }
 
 TEST(NetServer, SwapOverTheWireIsDeniedByDefault) {

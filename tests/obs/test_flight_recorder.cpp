@@ -2,13 +2,15 @@
 // kEventsPerThread events, the programmatic dump carries the post-mortem
 // schema (build identity, per-thread span stacks, events, metrics snapshot)
 // and parses back by substring, record-time sanitization keeps the dump
-// JSON-clean, and the forensic span hooks mirror live obs::Span nesting.
+// JSON-clean, the live-span stack mirrors obs::Span nesting, and slots of
+// exited threads go to new ones, so thread churn never blinds the recorder.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -107,7 +109,7 @@ TEST_F(FlightRecorderTest, MessagesAreSanitizedAtRecordTime) {
 }
 
 TEST_F(FlightRecorderTest, LiveSpansMaintainTheForensicStack) {
-  // enable() flips kSpanMaskForensics, so a plain obs::Span pushes its name.
+  // enable() sets the span-stack bit, so a plain obs::Span pushes its name.
   std::string dump;
   {
     Span outer("fr.test.outer", "test");
@@ -119,6 +121,22 @@ TEST_F(FlightRecorderTest, LiveSpansMaintainTheForensicStack) {
   // Both spans popped on scope exit: a fresh dump shows an empty stack.
   const std::string after = dump_to_temp("fr_spans_after.json");
   EXPECT_NE(after.find("\"span_stack\":[]"), std::string::npos);
+}
+
+TEST_F(FlightRecorderTest, NewThreadsReuseTheSlotsOfExitedThreads) {
+  // More short-lived threads than the slot table holds, as a server that
+  // spawns a reader and a writer per connection produces.
+  for (std::size_t i = 0; i < FlightRecorder::kMaxThreads + 44; ++i) {
+    std::thread([] { FlightRecorder::record(EventKind::kMark, 0, "churn"); }).join();
+  }
+  std::string dump;
+  std::thread([&] {
+    FlightRecorder::record(EventKind::kMark, 7, "after-churn");
+    Span span("fr.test.after_churn", "test");
+    dump = dump_to_temp("fr_churn.json");
+  }).join();
+  EXPECT_NE(dump.find("\"msg\":\"after-churn\""), std::string::npos);
+  EXPECT_NE(dump.find("\"span_stack\":[\"fr.test.after_churn\"]"), std::string::npos);
 }
 
 }  // namespace

@@ -175,14 +175,26 @@ TEST(MetricsRegistry, PrometheusExpositionFormat) {
   EXPECT_EQ(inf_count, 3u);
 }
 
-TEST(MetricsRegistry, RenderFilterDropsExcludedNames) {
+TEST(MetricsRegistry, ExpositionIncludesEveryInstrument) {
+  // One exposition serves every scrape surface: nothing is filtered out,
+  // whatever subsystem prefix an instrument carries.
   MetricsRegistry reg;
   reg.counter("net_requests_total").fetch_add(1);
   reg.counter("gemm_calls_total").fetch_add(1);
-  const std::string text = reg.render_prometheus(
-      [](const std::string& name) { return name.rfind("net_", 0) != 0; });
-  EXPECT_EQ(text.find("net_requests_total"), std::string::npos);
+  reg.histogram("net_request_latency_seconds").record(1e-3, /*trace_id=*/77);
+  const std::string text = reg.render_prometheus();
+  EXPECT_NE(text.find("net_requests_total 1\n"), std::string::npos);
   EXPECT_NE(text.find("gemm_calls_total 1\n"), std::string::npos);
+  EXPECT_NE(text.find("net_request_latency_seconds_count 1\n"), std::string::npos);
+  EXPECT_NE(text.find("# EXEMPLAR net_request_latency_seconds_bucket{le="), std::string::npos);
+}
+
+TEST(Histogram, ResetDropsExemplars) {
+  Histogram h;
+  h.record(1e-3, /*trace_id=*/5);
+  ASSERT_EQ(h.exemplar_trace(9), 5u);  // 1ms = 1000 millionths: bucket 9
+  h.reset();
+  for (int b = 0; b < Histogram::kBuckets; ++b) EXPECT_EQ(h.exemplar_trace(b), 0u) << b;
 }
 
 TEST(MetricsRegistry, InfoMetricRendersLabelsAndIsReplaceable) {

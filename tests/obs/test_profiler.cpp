@@ -1,12 +1,13 @@
 // Span-stack profiler tests: deterministic folded-stack aggregation driven
 // by sample_once(), multi-threaded stack attribution, collapsed-stack export
-// format, and the disabled-by-default contract (spans never touch the
-// profiler while the profile bit is clear).
+// format, and the disabled-by-default contract (an off profiler takes no
+// samples, whatever the live-span stacks hold).
 #include "obs/profiler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
@@ -18,17 +19,12 @@
 namespace paintplace::obs {
 namespace {
 
-/// Sets the profile bit without start()'s background sampler thread, so
-/// tests control exactly how many samples are taken via sample_once().
-class ProfileBitScope {
+/// Runs the profiler with a sampler period no test outlives, so tests
+/// control exactly how many samples are taken via sample_once().
+class ProfilerScope {
  public:
-  ProfileBitScope() {
-    detail::g_span_mask.fetch_or(detail::kSpanMaskProfile, std::memory_order_relaxed);
-  }
-  ~ProfileBitScope() {
-    detail::g_span_mask.fetch_and(
-        static_cast<std::uint8_t>(~detail::kSpanMaskProfile), std::memory_order_relaxed);
-  }
+  ProfilerScope() { Profiler::instance().start(std::chrono::hours(1)); }
+  ~ProfilerScope() { Profiler::instance().stop(); }
 };
 
 std::uint64_t count_of(const Profiler& prof, const std::string& stack) {
@@ -41,7 +37,7 @@ std::uint64_t count_of(const Profiler& prof, const std::string& stack) {
 TEST(Profiler, FoldsNestedSpansDeterministically) {
   Profiler& prof = Profiler::instance();
   prof.clear();
-  ProfileBitScope bit;
+  ProfilerScope on;
 
   Span outer("prof.outer", "test");
   {
@@ -59,7 +55,7 @@ TEST(Profiler, FoldsNestedSpansDeterministically) {
 TEST(Profiler, AttributesStacksPerThread) {
   Profiler& prof = Profiler::instance();
   prof.clear();
-  ProfileBitScope bit;
+  ProfilerScope on;
 
   // Two workers park with distinct nested stacks; the main thread samples a
   // fixed number of times while both are provably inside their spans.
@@ -99,7 +95,7 @@ TEST(Profiler, AttributesStacksPerThread) {
 TEST(Profiler, CollapsedExportIsOneStackPerLine) {
   Profiler& prof = Profiler::instance();
   prof.clear();
-  ProfileBitScope bit;
+  ProfilerScope on;
 
   Span outer("prof.export", "test");
   prof.sample_once();

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -272,6 +273,31 @@ void run_connection(const Options& opt, std::uint64_t conn_seed, std::uint64_t i
   }
 }
 
+/// The server's p99 latency in ms, from the `net_request_latency_seconds`
+/// buckets of a metrics exposition: the same interpolation over the same
+/// buckets as the server's own Histogram::quantile. 0 without samples.
+double server_p99_ms(const std::string& text) {
+  static const std::string kBucket = "net_request_latency_seconds_bucket{le=\"";
+  std::array<std::uint64_t, obs::Histogram::kBuckets> buckets{};
+  std::uint64_t below = 0;  // cumulative count of the buckets already seen
+  for (std::size_t at = text.find(kBucket); at != std::string::npos;
+       at = text.find(kBucket, at + 1)) {
+    if (at > 0 && text[at - 1] != '\n') continue;  // an exemplar comment line
+    const char* le = text.c_str() + at + kBucket.size();
+    const char* count = std::strstr(le, "} ");
+    if (count == nullptr) break;
+    // Bucket b's upper bound is 2^(b+1) millionths; +Inf is the last one.
+    const int b = std::strncmp(le, "+Inf", 4) == 0
+                      ? obs::Histogram::kBuckets - 1
+                      : static_cast<int>(std::lround(std::log2(std::atof(le) * 1e6))) - 1;
+    const std::uint64_t cumulative = std::strtoull(count + 2, nullptr, 10);
+    if (b < 0 || b >= obs::Histogram::kBuckets || cumulative < below) continue;
+    buckets[static_cast<std::size_t>(b)] = cumulative - below;
+    below = cumulative;
+  }
+  return obs::Histogram::quantile_of(buckets, 0.99) * 1e3;
+}
+
 /// Worker process body: `conns` connection threads, plus (worker 0 with
 /// --swap) a mid-run hot-swap on a dedicated connection.
 Tally run_worker(const Options& opt, int worker_index) {
@@ -280,12 +306,7 @@ Tally run_worker(const Options& opt, int worker_index) {
   std::uint64_t initial_version = 0;
   try {
     net::Client probe(opt.host, static_cast<std::uint16_t>(opt.port));
-    const std::string text = probe.metrics_text();
-    const std::size_t at = text.find("pool_model_version ");
-    if (at != std::string::npos) {
-      initial_version = std::strtoull(text.c_str() + at + std::strlen("pool_model_version "),
-                                      nullptr, 10);
-    }
+    initial_version = probe.health().model_version;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[worker %d] cannot reach server: %s\n", worker_index, e.what());
     Tally t;
@@ -467,23 +488,18 @@ int main(int argc, char** argv) {
   if (opt.check_p99_factor > 0.0 && total.latency_count > 0) {
     try {
       net::Client probe(opt.host, static_cast<std::uint16_t>(opt.port));
-      const std::string text = probe.metrics_text();
-      double server_p99_ms = 0.0;
-      const std::size_t at = text.find("net_latency_p99_ms ");
-      if (at != std::string::npos) {
-        server_p99_ms = std::atof(text.c_str() + at + std::strlen("net_latency_p99_ms "));
-      }
-      if (server_p99_ms <= 0.0) {
+      const double server_ms = server_p99_ms(probe.metrics_text());
+      if (server_ms <= 0.0) {
         std::fprintf(stderr, "p99 check: server reported no latency samples\n");
         ok = false;
-      } else if (client_p99_ms > opt.check_p99_factor * server_p99_ms) {
+      } else if (client_p99_ms > opt.check_p99_factor * server_ms) {
         std::fprintf(stderr,
                      "p99 check FAILED: client %.2f ms > %.1f x server %.2f ms\n",
-                     client_p99_ms, opt.check_p99_factor, server_p99_ms);
+                     client_p99_ms, opt.check_p99_factor, server_ms);
         ok = false;
       } else {
         std::printf("p99 check: client %.2f ms within %.1fx of server %.2f ms\n",
-                    client_p99_ms, opt.check_p99_factor, server_p99_ms);
+                    client_p99_ms, opt.check_p99_factor, server_ms);
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "p99 check failed to scrape the server: %s\n", e.what());

@@ -31,6 +31,7 @@
 #include "obs/log.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
+#include "obs/request_table.h"
 #include "obs/trace.h"
 
 namespace {
@@ -329,14 +330,11 @@ int main(int argc, char** argv) {
     while (sem_wait(&g_stop_sem) != 0 && errno == EINTR) {
     }
     obs::Log::instance().info("serve_cli", "draining");
-    // Snapshot gauges before shutdown (the pool is gone afterwards), write
-    // the exposition after it so every counter includes the drained tail.
-    const net::PoolGauges gauges = server.pool_gauges();
+    // Write the exposition after the drain so every counter includes the
+    // drained tail.
     server.shutdown();
     if (!opt.metrics_dump.empty()) {
-      std::string exposition = net::render_text(server.metrics(), gauges);
-      exposition += paintplace::obs::MetricsRegistry::global().render_prometheus(
-          [](const std::string& name) { return name.rfind("net_", 0) != 0; });
+      const std::string exposition = obs::MetricsRegistry::global().render_prometheus();
       if (std::FILE* f = std::fopen(opt.metrics_dump.c_str(), "w")) {
         std::fwrite(exposition.data(), 1, exposition.size(), f);
         std::fclose(f);
@@ -372,7 +370,7 @@ int main(int argc, char** argv) {
         .kv("completed", m.requests_completed.load())
         .kv("shed", m.shed_total())
         .kv("protocol_errors", m.protocol_errors.load())
-        .kv("watchdog_stalls", server.watchdog().stalls());
+        .kv("watchdog_stalls", obs::RequestTable::instance().stalls());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "forecast_serve: %s\n", e.what());
     return 1;
