@@ -3,6 +3,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/atomic_file.h"
+
 namespace paintplace::data {
 namespace {
 
@@ -62,30 +64,29 @@ nn::Tensor read_tensor(std::istream& in) {
 }  // namespace
 
 void save_dataset(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  PP_CHECK_MSG(out.is_open(), "cannot open " << path << " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  out.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-  write_string(out, dataset.design);
-  write_u64(out, static_cast<std::uint64_t>(dataset.config.image_width));
-  write_f64(out, dataset.config.lambda_connect);
-  write_u64(out, dataset.samples.size());
-  for (const Sample& s : dataset.samples) {
-    write_tensor(out, s.input);
-    write_tensor(out, s.target);
-    write_string(out, s.meta.design);
-    write_u64(out, s.meta.placer_options.seed);
-    write_f64(out, s.meta.placer_options.alpha_t);
-    write_f64(out, s.meta.placer_options.inner_num);
-    write_u64(out, static_cast<std::uint64_t>(s.meta.placer_options.algorithm));
-    write_f64(out, s.meta.placement_cost);
-    write_f64(out, s.meta.true_total_utilization);
-    write_f64(out, s.meta.rudy_total);
-    write_f64(out, s.meta.route_seconds);
-    write_u64(out, s.meta.route_success ? 1 : 0);
-    write_u64(out, static_cast<std::uint64_t>(s.meta.route_iterations));
-  }
-  PP_CHECK_MSG(out.good(), "dataset write failed");
+  write_file_atomically(path, [&](std::ostream& out) {
+    out.write(kMagic, sizeof(kMagic));
+    out.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
+    write_string(out, dataset.design);
+    write_u64(out, static_cast<std::uint64_t>(dataset.config.image_width));
+    write_f64(out, dataset.config.lambda_connect);
+    write_u64(out, dataset.samples.size());
+    for (const Sample& s : dataset.samples) {
+      write_tensor(out, s.input);
+      write_tensor(out, s.target);
+      write_string(out, s.meta.design);
+      write_u64(out, s.meta.placer_options.seed);
+      write_f64(out, s.meta.placer_options.alpha_t);
+      write_f64(out, s.meta.placer_options.inner_num);
+      write_u64(out, static_cast<std::uint64_t>(s.meta.placer_options.algorithm));
+      write_f64(out, s.meta.placement_cost);
+      write_f64(out, s.meta.true_total_utilization);
+      write_f64(out, s.meta.rudy_total);
+      write_f64(out, s.meta.route_seconds);
+      write_u64(out, s.meta.route_success ? 1 : 0);
+      write_u64(out, static_cast<std::uint64_t>(s.meta.route_iterations));
+    }
+  });
 }
 
 Dataset load_dataset(const std::string& path) {

@@ -22,10 +22,6 @@
 
 namespace paintplace::net {
 
-/// Log-spaced latency histogram, 1µs..~34s (x2 per bucket). The math moved
-/// to obs::Histogram verbatim; the alias keeps the net-layer name.
-using LatencyHistogram = obs::Histogram;
-
 /// Monotonic counters for the front-end, bound to (and resetting) the named
 /// net_* instruments of a MetricsRegistry. The replica pool and server bump
 /// these; individual counters are exact, cross-counter skew is bounded by
@@ -49,7 +45,7 @@ class Metrics {
   obs::Counter& metrics_requests;
   obs::Counter& hot_swaps;
 
-  LatencyHistogram& latency;  ///< admission -> response-written, seconds
+  obs::Histogram& latency;  ///< admission -> response-written, seconds
 
   std::uint64_t shed_total() const {
     return shed_queue_full.load() + shed_client_cap.load();

@@ -90,6 +90,9 @@ struct NetServer::Connection {
       tv.tv_usec = static_cast<suseconds_t>(us.count() % 1000000);
       ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     }
+    // The writer starts first: the reader joins it, and may get there at
+    // once when the peer's bytes are already waiting.
+    writer = std::thread([this] { write_loop(); });
     reader = std::thread([this] {
       read_loop();
       // Reader is done (EOF, error, or protocol violation): no more entries
@@ -100,7 +103,6 @@ struct NetServer::Connection {
       server.metrics_.connections_closed.fetch_add(1, std::memory_order_relaxed);
       finished.store(true, std::memory_order_release);
     });
-    writer = std::thread([this] { write_loop(); });
   }
 
   ~Connection() {
@@ -287,7 +289,7 @@ struct NetServer::Connection {
     info.request_id = frame.request_id;
     info.uptime_seconds = obs::process_uptime_seconds();
     info.model_version = server.pool_->stats().model_version;
-    const obs::SloMonitor::Status slo = server.slo_monitor_->status();
+    const obs::SloMonitor::Status slo = server.slo_monitor_.status();
     info.slo_state = static_cast<std::uint8_t>(slo.state);
     info.window_p99_s = slo.window_p99_s;
     info.window_error_rate = slo.window_error_rate;
@@ -396,12 +398,12 @@ struct NetServer::Connection {
 };
 
 NetServer::NetServer(const NetServerConfig& config, const ModelFactory& make_model)
-    : config_(config), pool_(std::make_unique<ReplicaPool>(config.pool, make_model)) {
+    : config_(config),
+      pool_(std::make_unique<ReplicaPool>(config.pool, make_model)),
+      slo_monitor_(config_.slo) {
   // The pool's replicas have applied ServeConfig::backend by now, so the
   // build_info label reflects what will actually serve.
   obs::register_process_metrics(backend::active_backend().name());
-  slo_monitor_ = std::make_unique<obs::SloMonitor>(config_.slo);
-  slo_monitor_->start();
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   PP_CHECK_MSG(listen_fd_ >= 0, "socket() failed: " << std::strerror(errno));
@@ -433,15 +435,9 @@ NetServer::NetServer(const NetServerConfig& config, const ModelFactory& make_mod
       .kv("replicas", pool_->replicas())
       .kv("stall_ms", config_.watchdog.stall_ms);
 
-  // The request monitor runs while stall detection or the flight recorder
-  // is on; shutdown() releases it.
-  obs::RequestTable& requests = obs::RequestTable::instance();
-  requests.configure_stalls(config_.watchdog);
-  requests.start_monitor();
+  obs::RequestTable::instance().configure_stalls(config_.watchdog);
   acceptor_ = std::thread([this] { accept_loop(); });
-  if (config_.metrics_log_period.count() > 0) {
-    logger_ = std::thread([this] { log_loop(); });
-  }
+  monitor_ = std::thread([this] { monitor_loop(); });
 }
 
 NetServer::~NetServer() { shutdown(); }
@@ -474,28 +470,43 @@ void NetServer::reap_finished_connections() {
   }
 }
 
-void NetServer::log_loop() {
-  std::unique_lock<std::mutex> lock(log_mu_);
-  while (!shut_down_.load(std::memory_order_relaxed)) {
-    if (log_cv_.wait_for(lock, config_.metrics_log_period) == std::cv_status::no_timeout) {
-      continue;  // woken for shutdown — loop re-checks the flag
+void NetServer::monitor_loop() {
+  const auto period = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(kTickPeriodS));
+  auto last_log = std::chrono::steady_clock::now();
+  std::unique_lock<std::mutex> lock(monitor_mu_);
+  while (!monitor_cv_.wait_for(lock, period, [this] { return monitor_stop_; })) {
+    lock.unlock();
+    obs::RequestTable& requests = obs::RequestTable::instance();
+    requests.tick(requests.now_s());
+    // A post-mortem's registry view is at most one tick stale.
+    obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+    if (recorder.enabled()) recorder.refresh_metrics_snapshot();
+    slo_monitor_.tick();
+    const auto now = std::chrono::steady_clock::now();
+    if (config_.metrics_log_period.count() > 0 && now - last_log >= config_.metrics_log_period) {
+      last_log = now;
+      log_stats();
     }
-    const PoolStats pool = pool_->stats();
-    obs::Log::instance()
-        .info("net", "stats")
-        .kv("conns",
-            metrics_.connections_opened.load() - metrics_.connections_closed.load())
-        .kv("accepted", metrics_.requests_accepted.load())
-        .kv("completed", metrics_.requests_completed.load())
-        .kv("failed", metrics_.requests_failed.load())
-        .kv("shed", metrics_.shed_total())
-        .kv("p50_ms", metrics_.latency.quantile(0.50) * 1e3)
-        .kv("p99_ms", metrics_.latency.quantile(0.99) * 1e3)
-        .kv("queue", pool.queue_depth)
-        .kv("cache_hits", pool.cache_hits)
-        .kv("version", pool.model_version)
-        .kv("stalls", obs::RequestTable::instance().stalls());
+    lock.lock();
   }
+}
+
+void NetServer::log_stats() {
+  const PoolStats pool = pool_->stats();
+  obs::Log::instance()
+      .info("net", "stats")
+      .kv("conns", metrics_.connections_opened.load() - metrics_.connections_closed.load())
+      .kv("accepted", metrics_.requests_accepted.load())
+      .kv("completed", metrics_.requests_completed.load())
+      .kv("failed", metrics_.requests_failed.load())
+      .kv("shed", metrics_.shed_total())
+      .kv("p50_ms", metrics_.latency.quantile(0.50) * 1e3)
+      .kv("p99_ms", metrics_.latency.quantile(0.99) * 1e3)
+      .kv("queue", pool.queue_depth)
+      .kv("cache_hits", pool.cache_hits)
+      .kv("version", pool.model_version)
+      .kv("stalls", obs::RequestTable::instance().stalls());
 }
 
 std::uint64_t NetServer::swap_checkpoint(const std::string& path) {
@@ -542,16 +553,10 @@ void NetServer::shutdown() {
                               0);
 
   // 1. Stop intake: shut the listener down (unblocks accept), join the
-  // acceptor, and only then close the descriptor it was reading, and wake
-  // the logger.
+  // acceptor, and only then close the descriptor it was reading.
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
   close_fd(listen_fd_);
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    log_cv_.notify_all();
-  }
-  if (logger_.joinable()) logger_.join();
 
   // 2. Half-close every connection: readers see EOF, writers drain what was
   // accepted. Destroying the Connection joins its threads.
@@ -565,13 +570,15 @@ void NetServer::shutdown() {
   // writers waited on their futures — so this mostly joins workers).
   pool_->shutdown();
 
-  // 4. One last tick so the final window reflects the drained traffic, then
-  // stop the SLO ticker and release the request monitor.
-  if (slo_monitor_) {
-    slo_monitor_->tick();
-    slo_monitor_->stop();
+  // 4. Wake and join the monitor, then one last SLO tick so the final
+  // window reflects the drained traffic.
+  {
+    std::lock_guard<std::mutex> lock(monitor_mu_);
+    monitor_stop_ = true;
   }
-  obs::RequestTable::instance().stop_monitor();
+  monitor_cv_.notify_all();
+  if (monitor_.joinable()) monitor_.join();
+  slo_monitor_.tick();
 }
 
 }  // namespace paintplace::net

@@ -1,15 +1,22 @@
 // NetServer — the TCP front door of the forecast service.
 //
-// One acceptor thread plus two threads per connection (reader and writer)
-// in front of a ReplicaPool. The reader decodes PPN1 frames (see wire.h)
-// and dispatches: forecast requests go through admission control into the
-// sharded replica pool; shed decisions, metrics scrapes and protocol errors
-// are answered immediately. The writer delivers responses in request order
-// per connection, recording accept-to-written latency into net::Metrics.
+// One acceptor thread, one monitor thread, plus two threads per connection
+// (reader and writer) in front of a ReplicaPool. The reader decodes PPN1
+// frames (see wire.h) and dispatches: forecast requests go through
+// admission control into the sharded replica pool; shed decisions, metrics
+// scrapes and protocol errors are answered immediately. The writer delivers
+// responses in request order per connection, recording accept-to-written
+// latency into net::Metrics.
 // Each forecast request is one record in obs::RequestTable — begun when its
 // trace id is minted, admitted with its replica, finished with latency and
 // outcome — which drives trace sampling, stall detection and the flight
 // recorder's request events.
+//
+// The monitor is the server's only periodic thread. Every kTickPeriodS it
+// runs the request table's stall pass, refreshes the flight recorder's
+// metrics snapshot (when the recorder is on), ticks the SLO window, and
+// writes the stats log line once `metrics_log_period` has elapsed. It
+// waits on a condition variable, so shutdown() wakes it at once.
 //
 // Lifecycle: shutdown() stops the acceptor, half-closes every connection
 // (readers see EOF, writers drain their pending responses), then drains the
@@ -47,15 +54,17 @@ struct NetServerConfig {
   /// by default: a client naming an arbitrary filesystem path is a trusted
   /// operation.
   bool allow_swap = false;
-  /// Print a one-line metrics summary this often (0 = never).
+  /// Print a one-line metrics summary this often (0 = never); honoured to
+  /// within one monitor tick (NetServer::kTickPeriodS).
   std::chrono::milliseconds metrics_log_period{0};
   /// Close a connection whose socket has been silent this long (0 = never).
   /// Each close increments net_idle_closed and drains through the normal
   /// half-close path, so admitted requests are still answered first.
   std::chrono::milliseconds idle_timeout{0};
   ReplicaPoolConfig pool;
-  /// Rolling-window SLO objectives; the monitor runs for the server's
-  /// lifetime and feeds the kHealthResponse frame and slo_* gauges.
+  /// Rolling-window SLO objectives; the monitor thread ticks the window for
+  /// the server's lifetime, feeding the kHealthResponse frame and slo_*
+  /// gauges.
   obs::SloConfig slo;
   /// Stall detection (stall_ms = 0 disables). When active, every admitted
   /// request is aged admission-to-completion; requests past the threshold
@@ -66,6 +75,9 @@ struct NetServerConfig {
 
 class NetServer {
  public:
+  /// Monitor thread wake period.
+  static constexpr double kTickPeriodS = 0.200;
+
   /// Binds, listens, and starts accepting. `make_model` builds one model
   /// instance per replica (and per replica again on each hot swap).
   NetServer(const NetServerConfig& config, const ModelFactory& make_model);
@@ -88,27 +100,28 @@ class NetServer {
 
   Metrics& metrics() { return metrics_; }
   ReplicaPool& pool() { return *pool_; }
-  obs::SloMonitor& slo_monitor() { return *slo_monitor_; }
 
  private:
   struct Connection;
 
   void accept_loop();
-  void log_loop();
+  void monitor_loop();
+  void log_stats();
   void reap_finished_connections();
 
   NetServerConfig config_;
   std::unique_ptr<ReplicaPool> pool_;
   Metrics metrics_;
-  std::unique_ptr<obs::SloMonitor> slo_monitor_;
+  obs::SloMonitor slo_monitor_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> shut_down_{false};
   std::thread acceptor_;
-  std::thread logger_;
-  std::mutex log_mu_;
-  std::condition_variable log_cv_;
+  std::mutex monitor_mu_;
+  std::condition_variable monitor_cv_;
+  bool monitor_stop_ = false;  ///< guarded by monitor_mu_
+  std::thread monitor_;
 
   std::mutex connections_mu_;
   std::list<std::unique_ptr<Connection>> connections_;

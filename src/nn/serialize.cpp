@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "backend/pack_cache.h"
+#include "common/atomic_file.h"
 
 namespace paintplace::nn {
 namespace {
@@ -76,9 +77,7 @@ TensorMap load_tensors(std::istream& in) {
 }
 
 void save_tensors_file(const TensorMap& tensors, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  PP_CHECK_MSG(out.is_open(), "cannot open " << path << " for writing");
-  save_tensors(tensors, out);
+  write_file_atomically(path, [&](std::ostream& out) { save_tensors(tensors, out); });
 }
 
 TensorMap load_tensors_file(const std::string& path) {

@@ -95,36 +95,10 @@ const char* to_string(EventKind kind) {
   return "mark";
 }
 
-// ---------------------------------------------------------------------------
-// Fixed per-thread storage. Slots are heap-allocated on a thread's first
-// use and published into a fixed pointer table; they are never freed, so
-// the handler can walk the table with plain loads. A slot has one writer at
-// a time (the thread that owns it); an exiting thread gives it back, and
-// the next new thread takes it over. Readers (the handler, dump, the
-// profiler) synchronize on the head/depth release stores.
-
-constexpr std::size_t kSpanNameWords = FlightRecorder::kSpanNameLen / 8;
-
-struct FlightRecorder::ThreadSlot {
-  std::atomic<std::uint64_t> os_tid{0};
-  std::atomic<bool> owned{false};  ///< a live thread records here
-
-  // Event ring: head counts events ever recorded; slot = head % capacity.
-  std::atomic<std::uint64_t> head{0};
-  FlightEvent events[kEventsPerThread];
-
-  // Live span stack: names are copied in at push time (no pointers into
-  // stack frames) as atomic words; span_seq is odd while a push writes a
-  // name, and depth is published with release, so every reader sees a
-  // consistent prefix.
-  std::atomic<std::uint32_t> span_depth{0};
-  std::atomic<std::uint32_t> span_seq{0};
-  std::atomic<std::uint64_t> span_names[kMaxSpanDepth][kSpanNameWords];
-};
-
 namespace {
 
 static_assert(FlightRecorder::kSpanNameLen % 8 == 0, "span names are stored as 8-byte words");
+constexpr std::size_t kSpanNameWords = FlightRecorder::kSpanNameLen / 8;
 
 void store_name(std::atomic<std::uint64_t>* words, const char* name) {
   char buf[FlightRecorder::kSpanNameLen] = {0};
@@ -145,13 +119,8 @@ void load_name(const std::atomic<std::uint64_t>* words, char* out) {
   out[FlightRecorder::kSpanNameLen - 1] = '\0';
 }
 
-std::atomic<FlightRecorder::ThreadSlot*> g_slots[FlightRecorder::kMaxThreads];
+std::atomic<ThreadSlot*> g_slots[FlightRecorder::kMaxThreads];
 std::atomic<std::uint32_t> g_slot_count{0};  ///< slots ever published (may overshoot)
-
-std::uint32_t published_slots() {
-  const std::uint32_t n = g_slot_count.load(std::memory_order_acquire);
-  return n < FlightRecorder::kMaxThreads ? n : FlightRecorder::kMaxThreads;
-}
 
 // Metrics snapshot the handler embeds verbatim: pre-escaped as JSON string
 // content at refresh time (off the signal path).
@@ -167,7 +136,7 @@ std::mutex g_snapshot_mu;
 constexpr std::size_t kDumpBufCap = 8 * 1024 * 1024;
 char g_dump_buf[kDumpBufCap];
 
-thread_local FlightRecorder::ThreadSlot* t_slot = nullptr;
+thread_local ThreadSlot* t_slot = nullptr;
 /// Set when the table was full, and once the thread starts exiting: from
 /// then on this thread records nothing.
 thread_local bool t_slot_unavailable = false;
@@ -257,14 +226,23 @@ void FlightRecorder::install(const std::string& dir) {
   }
 }
 
-FlightRecorder::ThreadSlot* FlightRecorder::slot_for_this_thread() {
+std::size_t FlightRecorder::slot_count() {
+  const std::uint32_t n = g_slot_count.load(std::memory_order_acquire);
+  return n < kMaxThreads ? n : kMaxThreads;
+}
+
+ThreadSlot* FlightRecorder::slot(std::size_t i) {
+  return g_slots[i].load(std::memory_order_acquire);
+}
+
+ThreadSlot* FlightRecorder::this_thread_slot() {
   if (t_slot != nullptr) return t_slot;
   if (t_slot_unavailable) return nullptr;
   thread_local SlotRelease release;  // hands the slot back at thread exit
   const auto os_tid = static_cast<std::uint64_t>(::syscall(SYS_gettid));
   // An exited thread's slot first: its old events give way to ours.
-  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
-    ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
+  for (std::size_t s = 0, n = slot_count(); s < n; ++s) {
+    ThreadSlot* slot = FlightRecorder::slot(s);
     bool expected = false;
     if (slot == nullptr ||
         !slot->owned.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
@@ -293,7 +271,7 @@ void FlightRecorder::record(EventKind kind, std::uint64_t trace_id, const char* 
                             std::int64_t a, std::int64_t b) {
   FlightRecorder& rec = instance();
   if (!rec.enabled_.load(std::memory_order_relaxed)) return;
-  ThreadSlot* slot = rec.slot_for_this_thread();
+  ThreadSlot* slot = this_thread_slot();
   if (slot == nullptr) return;
   const std::uint64_t head = slot->head.load(std::memory_order_relaxed);
   FlightEvent& e = slot->events[head % kEventsPerThread];
@@ -307,7 +285,7 @@ void FlightRecorder::record(EventKind kind, std::uint64_t trace_id, const char* 
 }
 
 void FlightRecorder::push_span(const char* name) {
-  ThreadSlot* slot = instance().slot_for_this_thread();
+  ThreadSlot* slot = this_thread_slot();
   if (slot == nullptr) return;
   const std::uint32_t depth = slot->span_depth.load(std::memory_order_relaxed);
   if (depth < kMaxSpanDepth) {
@@ -331,8 +309,8 @@ void FlightRecorder::pop_span() {
 
 void FlightRecorder::fold_span_stacks(std::vector<std::string>& out) {
   char name[kSpanNameLen];
-  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
-    const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
+  for (std::size_t s = 0, n = slot_count(); s < n; ++s) {
+    const ThreadSlot* slot = FlightRecorder::slot(s);
     if (slot == nullptr) continue;
     // Retry while a push rewrites a name under us; a thread that keeps
     // pushing is simply skipped this sample.
@@ -404,8 +382,8 @@ std::size_t FlightRecorder::render_dump(char* buf, std::size_t cap,
 
   bool first_thread = true;
   char name[kSpanNameLen];
-  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
-    const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
+  for (std::size_t s = 0, n = slot_count(); s < n; ++s) {
+    const ThreadSlot* slot = FlightRecorder::slot(s);
     if (slot == nullptr) continue;
     if (!first_thread) out.ch(',');
     first_thread = false;
@@ -460,8 +438,8 @@ bool FlightRecorder::dump(const std::string& path, int signal_number) {
 
 std::size_t FlightRecorder::recorded() const {
   std::size_t total = 0;
-  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
-    const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
+  for (std::size_t s = 0, n = slot_count(); s < n; ++s) {
+    const ThreadSlot* slot = FlightRecorder::slot(s);
     if (slot == nullptr) continue;
     const std::uint64_t head = slot->head.load(std::memory_order_acquire);
     total += static_cast<std::size_t>(head < kEventsPerThread ? head : kEventsPerThread);
@@ -470,8 +448,8 @@ std::size_t FlightRecorder::recorded() const {
 }
 
 void FlightRecorder::clear() {
-  for (std::uint32_t s = 0, n = published_slots(); s < n; ++s) {
-    ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
+  for (std::size_t s = 0, n = slot_count(); s < n; ++s) {
+    ThreadSlot* slot = FlightRecorder::slot(s);
     if (slot == nullptr) continue;
     slot->head.store(0, std::memory_order_release);
     slot->span_depth.store(0, std::memory_order_release);

@@ -26,7 +26,8 @@
 // A thread's slot returns to the table when the thread exits and is handed
 // to the next new thread; until then the exited thread's last events stay
 // in the dump. Thread-per-connection servers churn threads, and the fixed
-// table must not fill up with the dead.
+// table must not fill up with the dead. The same slot holds the thread's
+// tracer ring (trace.h), so the process keeps one per-thread table.
 //
 // Async-signal-safety contract for the handler path: no malloc, no locks,
 // no stdio — only open/write/close on a pre-computed path, formatting into
@@ -77,10 +78,15 @@ struct FlightEvent {
   std::int64_t b = 0;
 };
 
+struct ThreadSlot;
+struct TraceRing;  ///< the tracer's per-thread event ring (trace.cpp)
+
 class FlightRecorder {
  public:
   static constexpr std::size_t kEventsPerThread = 128;
-  static constexpr std::size_t kMaxThreads = 256;
+  /// Slots in the per-thread table: 8 KiB of pointers, enough for a server
+  /// with a few hundred connections (two threads each).
+  static constexpr std::size_t kMaxThreads = 1024;
   static constexpr std::size_t kMaxSpanDepth = 32;
   static constexpr std::size_t kSpanNameLen = 48;
 
@@ -126,11 +132,17 @@ class FlightRecorder {
   /// against concurrent recording.
   void clear();
 
-  struct ThreadSlot;  ///< fixed per-thread storage (defined in .cpp)
+  /// The calling thread's slot, claimed on first use (one an exited thread
+  /// gave back, when there is one); nullptr once every slot is held by a
+  /// live thread.
+  static ThreadSlot* this_thread_slot();
+  /// Slots published so far, and slot `i` of them (nullptr while it is
+  /// being published). Plain loads: safe from the signal handler.
+  static std::size_t slot_count();
+  static ThreadSlot* slot(std::size_t i);
 
  private:
   FlightRecorder();
-  ThreadSlot* slot_for_this_thread();
 
   /// Builds the dump into buf (AS-safe: no allocation, no locks) and
   /// returns the byte length.
@@ -143,6 +155,36 @@ class FlightRecorder {
   char dump_path_[512] = {0};
 
   std::uint64_t epoch_us_ = 0;
+};
+
+/// One thread's fixed storage: the process's only per-thread table, shared
+/// by the recorder (event ring, live-span stack) and the tracer (its event
+/// ring). Slots are heap-allocated on a thread's first use and published
+/// into a fixed pointer table; they are never freed, so the signal handler
+/// can walk the table with plain loads. A slot has one writer at a time
+/// (the thread that owns it); an exiting thread gives it back, and the next
+/// new thread takes it over. Readers synchronize on the head/depth release
+/// stores.
+struct ThreadSlot {
+  std::atomic<std::uint64_t> os_tid{0};
+  std::atomic<bool> owned{false};  ///< a live thread records here
+
+  // Event ring: head counts events ever recorded; slot = head % capacity.
+  std::atomic<std::uint64_t> head{0};
+  FlightEvent events[FlightRecorder::kEventsPerThread];
+
+  // Live span stack: names are copied in at push time (no pointers into
+  // stack frames) as atomic words; span_seq is odd while a push writes a
+  // name, and depth is published with release, so every reader sees a
+  // consistent prefix.
+  std::atomic<std::uint32_t> span_depth{0};
+  std::atomic<std::uint32_t> span_seq{0};
+  std::atomic<std::uint64_t> span_names[FlightRecorder::kMaxSpanDepth]
+                                       [FlightRecorder::kSpanNameLen / 8];
+
+  /// The tracer's ring, allocated at the first traced span of the slot's
+  /// thread. A reused slot keeps it, events and all.
+  std::atomic<TraceRing*> trace{nullptr};
 };
 
 }  // namespace paintplace::obs

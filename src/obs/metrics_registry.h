@@ -62,8 +62,7 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Log-spaced histogram over positive values, factored out of the former
-/// net::LatencyHistogram and kept bit-compatible with it: bucket b covers
+/// Log-spaced histogram over positive values: bucket b covers
 /// [2^b, 2^(b+1)) millionths of a unit — for latencies in seconds that is
 /// 1µs up to ~33.5s, with bucket 0 absorbing anything smaller and the last
 /// bucket absorbing overflow. record() never blocks; quantiles interpolate
@@ -90,8 +89,6 @@ class Histogram {
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   /// Sum of recorded values (exact to one millionth of a unit per sample).
   double sum() const;
-  /// Kept for latency-histogram call sites that read `total_seconds()`.
-  double total_seconds() const { return sum(); }
 
   /// Value below which fraction `q` (0..1] of samples fall, interpolated
   /// inside the winning bucket. 0 with no samples.

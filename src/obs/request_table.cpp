@@ -30,7 +30,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }  // namespace
 
 RequestTable& RequestTable::instance() {
-  // Leaked: Tracer::record and the monitor thread may reach it during exit.
+  // Leaked: Tracer::record may reach it during exit.
   static RequestTable* table = new RequestTable();
   return *table;
 }
@@ -152,50 +152,16 @@ bool RequestTable::finish(std::uint64_t trace_id, double latency_s, RequestOutco
   if (rec.live) return true;
   // Commit outside the table lock: a ring write takes the ring's own mutex,
   // and holding both across many spans would stall offer().
-  for (const auto& [ring, event] : rec.spans) Tracer::commit(ring, event);
+  for (const auto& [slot, event] : rec.spans) Tracer::commit(slot, event);
   return true;
 }
 
-bool RequestTable::offer(const SpanEvent& event, const Ring& ring) {
+bool RequestTable::offer(const SpanEvent& event, ThreadSlot* slot) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = records_.find(event.trace_id);
   if (it == records_.end() || it->second.live) return false;
-  if (it->second.spans.size() < kMaxBufferedSpans) it->second.spans.emplace_back(ring, event);
+  if (it->second.spans.size() < kMaxBufferedSpans) it->second.spans.emplace_back(slot, event);
   return true;
-}
-
-void RequestTable::start_monitor() {
-  std::lock_guard<std::mutex> lock(monitor_mu_);
-  ++monitor_users_;
-  if (monitor_.joinable() ||
-      (mode_.load(std::memory_order_relaxed) & (kStall | kEvents)) == 0) {
-    return;
-  }
-  monitor_stop_ = false;
-  monitor_ = std::thread([this] { run_monitor(); });
-}
-
-void RequestTable::stop_monitor() {
-  std::thread monitor;
-  {
-    std::lock_guard<std::mutex> lock(monitor_mu_);
-    if (monitor_users_ == 0 || --monitor_users_ > 0) return;
-    monitor_stop_ = true;
-    monitor = std::move(monitor_);
-  }
-  monitor_cv_.notify_all();
-  if (monitor.joinable()) monitor.join();
-}
-
-void RequestTable::run_monitor() {
-  std::unique_lock<std::mutex> lock(monitor_mu_);
-  while (!monitor_stop_) {
-    lock.unlock();
-    tick(now_s());
-    lock.lock();
-    monitor_cv_.wait_for(lock, std::chrono::duration<double>(kTickPeriodS),
-                         [this] { return monitor_stop_; });
-  }
 }
 
 double RequestTable::now_s() const {
@@ -220,7 +186,7 @@ void RequestTable::tick(double now) {
     std::uint64_t trace_id;
     double age_ms;
     int replica;
-    std::vector<std::pair<Ring, SpanEvent>> spans;  ///< force-retained
+    std::vector<std::pair<ThreadSlot*, SpanEvent>> spans;  ///< force-retained
   };
   std::vector<Stall> stalls;
   std::vector<std::int64_t> in_flight;  ///< admitted records per replica
@@ -273,10 +239,8 @@ void RequestTable::tick(double now) {
         .kv("replica_in_flight", in_flight_list);
     FlightRecorder::record(EventKind::kStall, s.trace_id, "request stalled",
                            static_cast<std::int64_t>(s.age_ms), s.replica);
-    for (const auto& [ring, event] : s.spans) Tracer::commit(ring, event);
+    for (const auto& [slot, event] : s.spans) Tracer::commit(slot, event);
   }
-
-  if (FlightRecorder::instance().enabled()) FlightRecorder::instance().refresh_metrics_snapshot();
 }
 
 }  // namespace paintplace::obs

@@ -16,20 +16,19 @@
 // under a production swarm that is unaffordable and mostly uninteresting.
 // While sampling is on, a deterministic 1-in-N of requests (head sampling)
 // records live; every other request's spans buffer in its record (tagged
-// with the ring they would have landed in, so a commit keeps thread
-// attribution) until finish() decides: a request that ended shed or failed,
-// or ran slower than the threshold, is committed; the rest are discarded.
+// with the per-thread slot whose ring they would have landed in, so a
+// commit keeps thread attribution) until finish() decides: a request that
+// ended shed or failed, or ran slower than the threshold, is committed; the
+// rest are discarded.
 // Spans with trace id 0, or with an id begin() never saw (in-process
 // ForecastServer traffic), bypass the table and record live.
 //
-// Stall detection. A monitor thread ticks every kTickPeriodS and checks
-// each admitted record's age against the stall threshold. Past it, the
-// request is reported exactly once: a `watchdog.stall` log line (trace id,
-// age, replica, in-flight count per replica), a kStall flight event, and a
-// force-retain that commits its buffered spans however head sampling
-// decided. The same tick refreshes the flight recorder's metrics snapshot
-// whenever the recorder is on, so a post-mortem's registry view is at most
-// one tick stale.
+// Stall detection. The net server's monitor thread calls tick() every
+// NetServer::kTickPeriodS, which checks each admitted record's age against
+// the stall threshold. Past it, the request is reported exactly once: a
+// `watchdog.stall` log line (trace id, age, replica, in-flight count per
+// replica), a kStall flight event, and a force-retain that commits its
+// buffered spans however head sampling decided.
 //
 // Registry instruments:
 //   obs_trace_sampled_total        head-sampled requests (recorded live)
@@ -52,11 +51,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -89,10 +85,6 @@ class RequestTable {
  public:
   /// Spans buffered per request beyond which the newest are dropped.
   static constexpr std::size_t kMaxBufferedSpans = 512;
-  /// Monitor thread wake period.
-  static constexpr double kTickPeriodS = 0.200;
-
-  using Ring = std::shared_ptr<Tracer::ThreadRing>;
 
   /// Process-wide table. First use reads PAINTPLACE_TRACE_SAMPLE /
   /// PAINTPLACE_TRACE_SLOW_MS and turns sampling on when set.
@@ -122,15 +114,12 @@ class RequestTable {
   bool finish(std::uint64_t trace_id, double latency_s, RequestOutcome outcome,
               const char* detail = nullptr);
 
-  /// Offers a completed span (Tracer::record). True when the table buffered
-  /// it; false when the caller should record it live.
-  bool offer(const SpanEvent& event, const Ring& ring);
+  /// Offers a completed span (Tracer::record) from the thread of `slot`.
+  /// True when the table buffered it; false when the caller should record
+  /// it live.
+  bool offer(const SpanEvent& event, ThreadSlot* slot);
 
-  /// Starts the monitor thread when stall detection or the flight recorder
-  /// is on. Calls nest: the thread stops at the last stop_monitor().
-  void start_monitor();
-  void stop_monitor();
-  /// One monitor pass at `now_s` on the table's clock (tests pass
+  /// One stall-detection pass at `now_s` on the table's clock (tests pass
   /// synthetic times).
   void tick(double now_s);
   /// Seconds since the table was created: the clock admit() stamps.
@@ -154,12 +143,11 @@ class RequestTable {
     double admitted_s = -1.0;  ///< < 0 until admit()
     bool live = true;          ///< spans record live (head-sampled or retained)
     bool stalled = false;      ///< stall already reported
-    std::vector<std::pair<Ring, SpanEvent>> spans;
+    std::vector<std::pair<ThreadSlot*, SpanEvent>> spans;
   };
 
   RequestTable();
   void set_mode(std::uint8_t bit, bool on);
-  void run_monitor();
 
   std::atomic<std::uint8_t> mode_{0};
   std::chrono::steady_clock::time_point epoch_;
@@ -178,12 +166,6 @@ class RequestTable {
   std::atomic<std::uint64_t> stalls_{0};
   Gauge* stalls_gauge_ = nullptr;
   Gauge* oldest_gauge_ = nullptr;
-
-  std::mutex monitor_mu_;
-  std::condition_variable monitor_cv_;
-  int monitor_users_ = 0;
-  bool monitor_stop_ = false;
-  std::thread monitor_;
 };
 
 }  // namespace paintplace::obs

@@ -34,24 +34,6 @@ SloMonitor::SloMonitor(const SloConfig& config, MetricsRegistry& registry)
       state_gauge_(registry.gauge("slo_state",
                                   "0 healthy, 1 warning, 2 breached")) {}
 
-SloMonitor::~SloMonitor() { stop(); }
-
-void SloMonitor::start() {
-  if (running_.exchange(true)) return;
-  ticker_ = std::thread([this] {
-    while (running_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(config_.tick_period);
-      if (!running_.load(std::memory_order_relaxed)) break;
-      tick();
-    }
-  });
-}
-
-void SloMonitor::stop() {
-  if (!running_.exchange(false)) return;
-  if (ticker_.joinable()) ticker_.join();
-}
-
 void SloMonitor::tick() {
   tick(std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count());
 }
@@ -59,20 +41,18 @@ void SloMonitor::tick() {
 SloMonitor::Snapshot SloMonitor::read_instruments(double now_s) const {
   Snapshot snap;
   snap.t = now_s;
-  if (const Histogram* h = registry_.find_histogram(config_.latency_histogram)) {
+  if (const Histogram* h = registry_.find_histogram("net_request_latency_seconds")) {
     for (int b = 0; b < Histogram::kBuckets; ++b) {
       snap.buckets[static_cast<std::size_t>(b)] = h->bucket_count(b);
     }
   }
-  if (const Counter* c = registry_.find_counter(config_.completed_counter)) {
-    snap.completed = c->load();
-  }
-  if (const Counter* c = registry_.find_counter(config_.failed_counter)) {
-    snap.failed = c->load();
-  }
-  for (const std::string& name : config_.shed_counters) {
-    if (const Counter* c = registry_.find_counter(name)) snap.shed += c->load();
-  }
+  auto count = [this](const char* name) -> std::uint64_t {
+    const Counter* c = registry_.find_counter(name);
+    return c == nullptr ? 0 : c->load();
+  };
+  snap.completed = count("net_requests_completed");
+  snap.failed = count("net_requests_failed");
+  snap.shed = count("net_shed_queue_full") + count("net_shed_client_cap");
   return snap;
 }
 
@@ -114,8 +94,8 @@ void SloMonitor::recompute_locked() {
   }
   const double worst_burn = std::max(s.latency_burn_rate, s.error_burn_rate);
   s.state = worst_burn > 1.0              ? SloState::kBreached
-            : worst_burn > config_.warning_burn ? SloState::kWarning
-                                                : SloState::kHealthy;
+            : worst_burn > kWarningBurn ? SloState::kWarning
+                                        : SloState::kHealthy;
   status_ = s;
 
   window_p99_gauge_.set(s.window_p99_s);

@@ -1,30 +1,31 @@
 // paintplace::obs — rolling-window SLO monitor.
 //
 // Watches the serving objectives — p99 latency and error rate — over a
-// sliding window, computed from instruments already in the MetricsRegistry
-// (no second recording path on the request flow: the monitor only *reads*,
-// on its own cadence). Each tick snapshots the latency histogram's bucket
-// counts and the completed/failed/shed counters; the windowed view is the
+// sliding window, computed from the net front-end's instruments already in
+// the MetricsRegistry (no second recording path on the request flow: the
+// monitor only *reads*, on its own cadence). Each tick snapshots the
+// net_request_latency_seconds bucket counts and the net_requests_completed,
+// net_requests_failed and net_shed_* counters; the windowed view is the
 // delta between the newest snapshot and the one just outside the window, so
 // the p99 is a true windowed quantile, not a since-boot cumulative one.
 //
 // Burn rate is observed/objective: 1.0 means the window is exactly at the
-// objective, 2.0 means twice over it. Both rates are exported as gauges —
+// objective, 2.0 means twice over it. The state is breached above 1 and
+// warning above kWarningBurn. Both rates are exported as gauges —
 // slo_latency_burn_rate, slo_error_burn_rate, plus slo_window_p99_seconds,
 // slo_window_error_rate and slo_state (0 healthy / 1 warning / 2 breached)
 // — and reported in the PPN1 health frame (net/wire.h kHealthResponse).
 //
-// tick() is public and takes an explicit timestamp so tests can drive the
-// window edge deterministically; start() runs it on a background thread.
+// The monitor owns no thread: the net server's monitor thread calls tick()
+// every NetServer::kTickPeriodS. tick(double) takes an explicit timestamp
+// so tests can drive the window edge deterministically.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <string>
-#include <thread>
 
 #include "obs/metrics_registry.h"
 
@@ -34,15 +35,6 @@ struct SloConfig {
   double window_s = 60.0;
   double latency_objective_s = 0.250;  ///< windowed p99 budget
   double error_rate_objective = 0.01;  ///< (failed+shed)/total budget
-  /// Burn rate above which the state degrades to kWarning (kBreached at 1).
-  double warning_burn = 0.5;
-  std::chrono::milliseconds tick_period{1000};
-  /// Instrument names polled from the registry. Defaults match the net
-  /// front-end; point them elsewhere to watch a different request surface.
-  std::string latency_histogram = "net_request_latency_seconds";
-  std::string completed_counter = "net_requests_completed";
-  std::string failed_counter = "net_requests_failed";
-  std::string shed_counters[2] = {"net_shed_queue_full", "net_shed_client_cap"};
 };
 
 enum class SloState : std::uint8_t { kHealthy = 0, kWarning = 1, kBreached = 2 };
@@ -51,17 +43,14 @@ const char* to_string(SloState state);
 
 class SloMonitor {
  public:
+  /// Burn rate above which the state degrades to kWarning (kBreached at 1).
+  static constexpr double kWarningBurn = 0.5;
+
   explicit SloMonitor(const SloConfig& config,
                       MetricsRegistry& registry = MetricsRegistry::global());
-  ~SloMonitor();
 
   SloMonitor(const SloMonitor&) = delete;
   SloMonitor& operator=(const SloMonitor&) = delete;
-
-  /// Starts the background ticker. Idempotent.
-  void start();
-  /// Stops and joins it. Also runs on destruction.
-  void stop();
 
   /// One snapshot + recompute at an explicit time (seconds on the
   /// monitor's own axis; tests pass synthetic times, ticks pass a steady
@@ -107,9 +96,6 @@ class SloMonitor {
   Gauge& latency_burn_gauge_;
   Gauge& error_burn_gauge_;
   Gauge& state_gauge_;
-
-  std::atomic<bool> running_{false};
-  std::thread ticker_;
 };
 
 }  // namespace paintplace::obs

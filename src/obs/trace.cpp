@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
@@ -61,21 +62,17 @@ thread_local std::uint64_t t_current_trace_id = 0;
 
 // ---- Ring buffers -----------------------------------------------------------
 
-/// One thread's fixed-capacity event ring. The mutex is per-ring and only
-/// ever contended by dump/clear (the owning thread is the sole writer), so
-/// record() is effectively an uncontended lock plus a struct copy. Rings of
-/// exited threads return to a freelist and are re-issued to new threads —
-/// thread-per-connection servers churn threads, and tracing must not grow
-/// memory per connection. A reused ring keeps its chrome tid, so one tid
-/// row can show several (non-overlapping-in-time) OS threads.
-struct Tracer::ThreadRing {
-  explicit ThreadRing(int tid_) : tid(tid_) { events.resize(Tracer::kRingCapacity); }
-
-  int tid;
+/// One thread's fixed-capacity event ring, owned by its slot in the
+/// per-thread table. The mutex is only ever contended by dump/clear and by
+/// commits of held-back spans (the slot's thread is the only live writer),
+/// so record() is effectively an uncontended lock plus a struct copy. A
+/// reused slot keeps its ring and chrome tid, so one tid row can show
+/// several (non-overlapping-in-time) OS threads.
+struct TraceRing {
   std::mutex mu;
-  std::vector<SpanEvent> events;
-  std::size_t size = 0;   ///< valid events (<= capacity)
-  std::size_t head = 0;   ///< next write slot
+  std::vector<SpanEvent> events = std::vector<SpanEvent>(Tracer::kRingCapacity);
+  std::size_t size = 0;  ///< valid events (<= capacity)
+  std::size_t head = 0;  ///< next write slot
   std::uint64_t overwritten = 0;
 
   void record(const SpanEvent& event) {
@@ -90,36 +87,21 @@ struct Tracer::ThreadRing {
   }
 };
 
-std::shared_ptr<Tracer::ThreadRing> Tracer::ring_ptr_for_this_thread() {
-  // Claims a ring on the thread's first span (a freed one when there is
-  // one) and hands it back to the freelist when the thread exits.
-  struct Handle {
-    std::shared_ptr<ThreadRing> ring;
-    ~Handle() {
-      if (ring == nullptr) return;
-      Tracer& tracer = Tracer::instance();
-      std::lock_guard<std::mutex> lock(tracer.rings_mu_);
-      tracer.free_rings_.push_back(std::move(ring));
-    }
-  };
-  thread_local Handle handle;
-  if (handle.ring == nullptr) {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    if (!free_rings_.empty()) {
-      handle.ring = std::move(free_rings_.back());
-      free_rings_.pop_back();
-    } else {
-      handle.ring = std::make_shared<ThreadRing>(static_cast<int>(rings_.size()) + 1);
-      rings_.push_back(handle.ring);
-    }
+namespace {
+
+/// Calls fn(tid, ring) with the ring locked, for every slot that has one.
+template <class Fn>
+void for_each_ring(Fn&& fn) {
+  for (std::size_t s = 0, n = FlightRecorder::slot_count(); s < n; ++s) {
+    const ThreadSlot* slot = FlightRecorder::slot(s);
+    TraceRing* ring = slot == nullptr ? nullptr : slot->trace.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    std::lock_guard<std::mutex> lock(ring->mu);
+    fn(static_cast<int>(s) + 1, *ring);
   }
-  return handle.ring;
 }
 
-std::vector<std::shared_ptr<Tracer::ThreadRing>> Tracer::rings() const {
-  std::lock_guard<std::mutex> lock(rings_mu_);
-  return rings_;
-}
+}  // namespace
 
 // ---- Tracer -----------------------------------------------------------------
 
@@ -137,7 +119,7 @@ Tracer& Tracer::instance() {
 
 void Tracer::configure(const std::string& dump_path) {
   {
-    std::lock_guard<std::mutex> lock(rings_mu_);
+    std::lock_guard<std::mutex> lock(path_mu_);
     dump_path_ = dump_path;
   }
   enable();
@@ -146,7 +128,7 @@ void Tracer::configure(const std::string& dump_path) {
 bool Tracer::dump_configured() {
   std::string path;
   {
-    std::lock_guard<std::mutex> lock(rings_mu_);
+    std::lock_guard<std::mutex> lock(path_mu_);
     path = dump_path_;
   }
   if (path.empty()) return false;
@@ -154,33 +136,41 @@ bool Tracer::dump_configured() {
 }
 
 void Tracer::record(const SpanEvent& event) {
-  const std::shared_ptr<ThreadRing> ring = ring_ptr_for_this_thread();
+  ThreadSlot* slot = FlightRecorder::this_thread_slot();
+  if (slot == nullptr) {
+    unslotted_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Only the slot's own thread allocates its ring; a reused slot has one.
+  if (slot->trace.load(std::memory_order_relaxed) == nullptr) {
+    slot->trace.store(new TraceRing(), std::memory_order_release);
+  }
   // Request-tied spans route through the request table while sampling is
-  // on: buffered in the request's record, committed to this same ring (or
-  // dropped) when the request finishes. Untied spans and head-sampled
-  // requests record directly, so non-request instrumentation is never lost.
+  // on: buffered in the request's record, committed to this same slot's
+  // ring (or dropped) when the request finishes. Untied spans and
+  // head-sampled requests record directly, so non-request instrumentation
+  // is never lost.
   if (event.trace_id != 0) {
     RequestTable& requests = RequestTable::instance();
-    if (requests.sampling() && requests.offer(event, ring)) return;
+    if (requests.sampling() && requests.offer(event, slot)) return;
   }
-  ring->record(event);
+  commit(slot, event);
 }
 
-void Tracer::commit(const std::shared_ptr<ThreadRing>& ring, const SpanEvent& event) {
-  ring->record(event);
+void Tracer::commit(ThreadSlot* slot, const SpanEvent& event) {
+  slot->trace.load(std::memory_order_acquire)->record(event);
 }
 
 std::string Tracer::dump_json() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   char buf[128];
-  for (const auto& ring : rings()) {
-    std::lock_guard<std::mutex> lock(ring->mu);
+  for_each_ring([&](int tid, const TraceRing& ring) {
     // Oldest-first: with a full ring, `head` is also the oldest slot.
-    const std::size_t capacity = ring->events.size();
-    const std::size_t start = ring->size < capacity ? 0 : ring->head;
-    for (std::size_t i = 0; i < ring->size; ++i) {
-      const SpanEvent& ev = ring->events[(start + i) % capacity];
+    const std::size_t capacity = ring.events.size();
+    const std::size_t start = ring.size < capacity ? 0 : ring.head;
+    for (std::size_t i = 0; i < ring.size; ++i) {
+      const SpanEvent& ev = ring.events[(start + i) % capacity];
       out += first ? "\n" : ",\n";
       first = false;
       out += "{\"name\":\"";
@@ -189,7 +179,7 @@ std::string Tracer::dump_json() const {
       json_escape_into(out, ev.category);
       std::snprintf(buf, sizeof(buf),
                     "\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%llu,\"dur\":%llu,\"args\":{",
-                    ring->tid, static_cast<unsigned long long>(ev.start_us),
+                    tid, static_cast<unsigned long long>(ev.start_us),
                     static_cast<unsigned long long>(ev.dur_us));
       out += buf;
       bool first_arg = true;
@@ -223,7 +213,7 @@ std::string Tracer::dump_json() const {
       }
       out += "}}";
     }
-  }
+  });
   out += first ? "]}\n" : "\n]}\n";
   return out;
 }
@@ -241,29 +231,23 @@ bool Tracer::dump_json(const std::string& path) const {
 }
 
 void Tracer::clear() {
-  for (const auto& ring : rings()) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    ring->size = 0;
-    ring->head = 0;
-    ring->overwritten = 0;
-  }
+  for_each_ring([](int, TraceRing& ring) {
+    ring.size = 0;
+    ring.head = 0;
+    ring.overwritten = 0;
+  });
+  unslotted_.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t Tracer::dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& ring : rings()) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    total += ring->overwritten;
-  }
+  std::uint64_t total = unslotted_.load(std::memory_order_relaxed);
+  for_each_ring([&](int, const TraceRing& ring) { total += ring.overwritten; });
   return total;
 }
 
 std::size_t Tracer::recorded() const {
   std::size_t total = 0;
-  for (const auto& ring : rings()) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    total += ring->size;
-  }
+  for_each_ring([&](int, const TraceRing& ring) { total += ring.size; });
   return total;
 }
 

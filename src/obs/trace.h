@@ -8,10 +8,13 @@
 // disabled-path cost stays under its overhead budget).
 //
 // When enabled, completed spans land in fixed-size per-thread ring buffers
-// (no allocation, no shared lock on the record path beyond the ring's own
-// uncontended mutex; the oldest events are overwritten on wraparound).
-// Tracer::dump_json() walks every ring and writes a Chrome Trace Event
-// Format file — load it at chrome://tracing or https://ui.perfetto.dev.
+// (no allocation after a thread's first span, no shared lock on the record
+// path beyond the ring's own uncontended mutex; the oldest events are
+// overwritten on wraparound). A thread's ring hangs off its slot in the
+// flight recorder's per-thread table (flight_recorder.h), allocated at the
+// thread's first traced span. Tracer::dump_json() walks the slot table and
+// writes a Chrome Trace Event Format file — load it at chrome://tracing or
+// https://ui.perfetto.dev.
 // Spans nest per thread by time containment; a request that hops threads
 // (reader -> batch worker -> writer) is stitched by its trace id, which
 // propagates through the thread-local TraceContext and is recorded as the
@@ -25,10 +28,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace paintplace::obs {
 
@@ -71,6 +72,8 @@ struct SpanEvent {
   TraceArg args[kMaxArgs];
 };
 
+struct ThreadSlot;  ///< the per-thread table entry (flight_recorder.h)
+
 class Tracer {
  public:
   static constexpr std::size_t kRingCapacity = 8192;  ///< events per thread
@@ -103,34 +106,31 @@ class Tracer {
   /// request table holds it back for a sampling decision.
   void record(const SpanEvent& event);
 
-  struct ThreadRing;  ///< opaque per-thread ring (defined in trace.cpp)
-  /// Writes an event the request table held back into the ring it was
-  /// recorded from (thread attribution survives the delay).
-  static void commit(const std::shared_ptr<ThreadRing>& ring, const SpanEvent& event);
+  /// Writes an event the request table held back into the ring of the
+  /// slot it was recorded from (thread attribution survives the delay).
+  static void commit(ThreadSlot* slot, const SpanEvent& event);
 
-  /// Chrome Trace Event Format JSON of every ring's events.
+  /// Chrome Trace Event Format JSON of every ring's events; a ring's
+  /// chrome tid is its slot index + 1.
   std::string dump_json() const;
   bool dump_json(const std::string& path) const;
 
   /// Drops all recorded events (tests).
   void clear();
 
-  /// Events overwritten by ring wraparound since the last clear().
+  /// Events lost since the last clear(): overwritten by ring wraparound, or
+  /// recorded by a thread that found the slot table full.
   std::uint64_t dropped() const;
   /// Events currently held across all rings.
   std::size_t recorded() const;
 
  private:
   Tracer();
-  std::shared_ptr<ThreadRing> ring_ptr_for_this_thread();
-  std::vector<std::shared_ptr<ThreadRing>> rings() const;  ///< snapshot
 
+  mutable std::mutex path_mu_;
   std::string dump_path_;
   std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::shared_ptr<ThreadRing>> rings_;
-  std::vector<std::shared_ptr<ThreadRing>> free_rings_;  ///< from exited threads
+  std::atomic<std::uint64_t> unslotted_{0};  ///< spans with no slot to land in
 
  public:
   std::uint64_t now_us() const {

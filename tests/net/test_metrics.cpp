@@ -12,14 +12,14 @@ namespace paintplace::net {
 namespace {
 
 TEST(LatencyHistogram, EmptyHistogramIsZero) {
-  LatencyHistogram h;
+  obs::Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.quantile(0.5), 0.0);
-  EXPECT_EQ(h.total_seconds(), 0.0);
+  EXPECT_EQ(h.sum(), 0.0);
 }
 
 TEST(LatencyHistogram, QuantilesBracketRecordedLatencies) {
-  LatencyHistogram h;
+  obs::Histogram h;
   // 99 fast samples around 1ms, one slow outlier around 1s.
   for (int i = 0; i < 99; ++i) h.record(1e-3);
   h.record(1.0);
@@ -37,7 +37,7 @@ TEST(LatencyHistogram, QuantilesBracketRecordedLatencies) {
 }
 
 TEST(LatencyHistogram, QuantileIsMonotoneInQ) {
-  LatencyHistogram h;
+  obs::Histogram h;
   for (int i = 1; i <= 64; ++i) h.record(static_cast<double>(i) * 1e-4);
   double prev = 0.0;
   for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
@@ -48,7 +48,7 @@ TEST(LatencyHistogram, QuantileIsMonotoneInQ) {
 }
 
 TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
-  LatencyHistogram h;
+  obs::Histogram h;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&h] {
@@ -60,7 +60,7 @@ TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
 }
 
 TEST(LatencyHistogram, ResetClears) {
-  LatencyHistogram h;
+  obs::Histogram h;
   h.record(0.5);
   h.reset();
   EXPECT_EQ(h.count(), 0u);

@@ -1,7 +1,7 @@
 // End-to-end NetServer tests over real loopback sockets: request/response
 // fidelity vs direct prediction, protocol-error handling, the metrics
-// endpoint, hot-swap over the wire, concurrent clients, and drain-on-
-// shutdown semantics.
+// endpoint, hot-swap over the wire, concurrent clients, drain-on-shutdown
+// semantics, a prompt idle shutdown, and the server's thread budget.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "net/client.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "tests/serve/serve_fixtures.h"
@@ -322,6 +324,49 @@ TEST(NetServer, OverloadShedsWithTypedReason) {
   EXPECT_GE(ok, 1);
   EXPECT_GE(shed, 1);
   EXPECT_EQ(server.metrics().shed_queue_full.load(), static_cast<std::uint64_t>(shed));
+}
+
+TEST(NetServer, IdleShutdownIsPrompt) {
+  // The monitor thread waits on a condition variable: shutdown wakes it
+  // instead of waiting out a tick.
+  NetServer server(quick_config(1), tiny_factory());
+  const auto start = std::chrono::steady_clock::now();
+  server.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 250ms);
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// The thread count once it holds still: a joined thread can stay listed
+/// in /proc/self/task for a moment after its join returns.
+std::size_t settled_threads() {
+  std::size_t n = live_threads();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(5ms);
+    const std::size_t again = live_threads();
+    if (again == n) return n;
+    n = again;
+  }
+  return n;
+}
+
+TEST(NetServer, RunsOneMonitorThreadWhateverIsOn) {
+  parallel_workers();  // the process-wide compute pool starts lazily
+  obs::FlightRecorder::instance().enable();
+  NetServerConfig cfg = quick_config(2);
+  cfg.watchdog.stall_ms = 1000.0;
+  cfg.metrics_log_period = 50ms;
+  const std::size_t before = settled_threads();
+  NetServer server(cfg, tiny_factory());
+  // The acceptor, the monitor, and one batch worker per replica.
+  EXPECT_EQ(settled_threads(), before + 2 + 2);
 }
 
 }  // namespace

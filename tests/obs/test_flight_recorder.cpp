@@ -3,7 +3,8 @@
 // schema (build identity, per-thread span stacks, events, metrics snapshot)
 // and parses back by substring, record-time sanitization keeps the dump
 // JSON-clean, the live-span stack mirrors obs::Span nesting, and slots of
-// exited threads go to new ones, so thread churn never blinds the recorder.
+// exited threads go to new ones, so thread churn never blinds the recorder
+// or the tracer, whose rings live in the same slots.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -125,9 +126,17 @@ TEST_F(FlightRecorderTest, LiveSpansMaintainTheForensicStack) {
 
 TEST_F(FlightRecorderTest, NewThreadsReuseTheSlotsOfExitedThreads) {
   // More short-lived threads than the slot table holds, as a server that
-  // spawns a reader and a writer per connection produces.
-  for (std::size_t i = 0; i < FlightRecorder::kMaxThreads + 44; ++i) {
-    std::thread([] { FlightRecorder::record(EventKind::kMark, 0, "churn"); }).join();
+  // spawns a reader and a writer per connection produces. Tracing is on:
+  // the tracer's rings live in the same slots.
+  Tracer& tracer = Tracer::instance();
+  tracer.enable();
+  tracer.clear();
+  const std::size_t churn = FlightRecorder::kMaxThreads + 44;
+  for (std::size_t i = 0; i < churn; ++i) {
+    std::thread([] {
+      FlightRecorder::record(EventKind::kMark, 0, "churn");
+      Span span("fr.test.churn", "test");
+    }).join();
   }
   std::string dump;
   std::thread([&] {
@@ -135,8 +144,20 @@ TEST_F(FlightRecorderTest, NewThreadsReuseTheSlotsOfExitedThreads) {
     Span span("fr.test.after_churn", "test");
     dump = dump_to_temp("fr_churn.json");
   }).join();
+  const std::string trace = tracer.dump_json();
+  tracer.disable();
+  tracer.clear();
   EXPECT_NE(dump.find("\"msg\":\"after-churn\""), std::string::npos);
   EXPECT_NE(dump.find("\"span_stack\":[\"fr.test.after_churn\"]"), std::string::npos);
+  // The new thread's span reached the trace, and a reused slot kept the
+  // spans of the threads that held it before.
+  EXPECT_NE(trace.find("\"name\":\"fr.test.after_churn\""), std::string::npos);
+  std::size_t churned = 0;
+  for (std::size_t at = trace.find("fr.test.churn"); at != std::string::npos;
+       at = trace.find("fr.test.churn", at + 1)) {
+    ++churned;
+  }
+  EXPECT_EQ(churned, churn);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // relies on. Stalls: deterministic tick() detection (reported exactly once,
 // oldest-age gauge, off = silent), the force-retain that commits a stalled
 // request's buffered spans, the live loopback case where a busy replica's
-// stall reaches the PPN1 health frame, and the monitor tick that keeps the
-// post-mortem's metrics fresh with stall detection off.
+// stall reaches the PPN1 health frame, and the server's monitor tick that
+// keeps the post-mortem's metrics fresh with stall detection off.
 #include "obs/request_table.h"
 
 #include <gtest/gtest.h>
@@ -433,7 +433,8 @@ TEST_F(WatchdogTest, MonitorRefreshesPostmortemMetricsWithStallDetectionOff) {
   }
   while (server.metrics().requests_completed.load() < kRequests) std::this_thread::yield();
 
-  // The monitor ticks every kTickPeriodS; allow many periods.
+  // The server's monitor ticks every NetServer::kTickPeriodS; allow many
+  // periods.
   bool refreshed = false;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!refreshed && std::chrono::steady_clock::now() < deadline) {

@@ -1,5 +1,6 @@
 // SloMonitor tests, driven entirely through the public tick(double) with
-// synthetic timestamps and a private MetricsRegistry: windowed rate and p99
+// synthetic timestamps and a private MetricsRegistry holding the net_*
+// instruments the monitor polls: windowed rate and p99
 // computation, healthy -> warning -> breached transitions on the error burn
 // rate, the window-edge eviction rule (the delta base is the youngest
 // snapshot at or past the edge), and the exported slo_* gauges.
@@ -15,23 +16,17 @@ namespace {
 class SloMonitorTest : public ::testing::Test {
  protected:
   SloMonitorTest()
-      : latency_(registry_.histogram("t_latency_seconds")),
-        completed_(registry_.counter("t_completed")),
-        failed_(registry_.counter("t_failed")),
-        shed_a_(registry_.counter("t_shed_a")),
-        shed_b_(registry_.counter("t_shed_b")) {}
+      : latency_(registry_.histogram("net_request_latency_seconds")),
+        completed_(registry_.counter("net_requests_completed")),
+        failed_(registry_.counter("net_requests_failed")),
+        shed_a_(registry_.counter("net_shed_queue_full")),
+        shed_b_(registry_.counter("net_shed_client_cap")) {}
 
   SloConfig config() const {
     SloConfig cfg;
     cfg.window_s = 60.0;
     cfg.latency_objective_s = 0.100;
     cfg.error_rate_objective = 0.10;
-    cfg.warning_burn = 0.5;
-    cfg.latency_histogram = "t_latency_seconds";
-    cfg.completed_counter = "t_completed";
-    cfg.failed_counter = "t_failed";
-    cfg.shed_counters[0] = "t_shed_a";
-    cfg.shed_counters[1] = "t_shed_b";
     return cfg;
   }
 
@@ -131,10 +126,8 @@ TEST_F(SloMonitorTest, ShedRequestsCountTowardErrorRate) {
 }
 
 TEST_F(SloMonitorTest, MissingInstrumentsReadAsZero) {
-  SloConfig cfg = config();
-  cfg.latency_histogram = "never_registered";
-  cfg.completed_counter = "also_never_registered";
-  SloMonitor monitor(cfg, registry_);
+  MetricsRegistry empty;  // no net_* instrument registered
+  SloMonitor monitor(config(), empty);
   monitor.tick(0.0);
   monitor.tick(1.0);
   EXPECT_EQ(monitor.status().window_requests, 0u);
