@@ -25,25 +25,6 @@ void SaPlacer::set_snapshot(SnapshotFn fn, Index every_accepted) {
   snapshot_every_ = every_accepted;
 }
 
-namespace {
-
-/// Sum of net costs for the nets touching the given blocks (each net once).
-double affected_cost(const Placement& p, const Netlist& nl, BlockId a, BlockId b,
-                     std::vector<NetId>& scratch) {
-  scratch.clear();
-  for (NetId n : nl.nets_of(a)) scratch.push_back(n);
-  if (b >= 0) {
-    for (NetId n : nl.nets_of(b)) scratch.push_back(n);
-  }
-  std::sort(scratch.begin(), scratch.end());
-  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-  double cost = 0.0;
-  for (NetId n : scratch) cost += p.net_cost(n);
-  return cost;
-}
-
-}  // namespace
-
 Placement SaPlacer::place() {
   Rng rng(options_.seed);
   Placement p(*arch_, *netlist_);
@@ -62,7 +43,15 @@ Placement SaPlacer::place() {
                             std::pow(static_cast<double>(n_blocks), 4.0 / 3.0)));
 
   double cost = report_.initial_cost;
-  std::vector<NetId> scratch;
+  // Cost of every net at the current placement (VPR's net_cost). A move
+  // re-costs only the nets it touches and writes them back on accept, so a
+  // rejected move leaves this exactly as it was.
+  std::vector<double> net_costs(static_cast<std::size_t>(netlist_->num_nets()));
+  for (NetId n = 0; n < netlist_->num_nets(); ++n) {
+    net_costs[static_cast<std::size_t>(n)] = p.net_cost(n);
+  }
+  std::vector<NetId> affected;     // sorted, unique nets touching the moved blocks
+  std::vector<double> new_costs;  // their costs after the move, in `affected` order
 
   // Initial temperature: VPR heuristic — 20x the std-dev of the cost change
   // over a probe sweep of random moves (annealing only).
@@ -92,13 +81,26 @@ Placement SaPlacer::place() {
     if (!found) return false;
 
     const BlockId occupant = p.block_at(to);
-    const double before = affected_cost(p, *netlist_, b, occupant, scratch);
+    affected.assign(netlist_->nets_of(b).begin(), netlist_->nets_of(b).end());
+    if (occupant >= 0) {
+      affected.insert(affected.end(), netlist_->nets_of(occupant).begin(),
+                      netlist_->nets_of(occupant).end());
+    }
+    std::sort(affected.begin(), affected.end());
+    affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
+    double before = 0.0;
+    for (NetId n : affected) before += net_costs[static_cast<std::size_t>(n)];
     if (occupant >= 0) {
       p.swap(b, occupant);
     } else {
       p.move(b, to);
     }
-    const double after = affected_cost(p, *netlist_, b, occupant, scratch);
+    new_costs.clear();
+    double after = 0.0;
+    for (NetId n : affected) {
+      new_costs.push_back(p.net_cost(n));
+      after += new_costs.back();
+    }
     const double delta = after - before;
 
     bool accept;
@@ -111,6 +113,9 @@ Placement SaPlacer::place() {
     }
     if (accept) {
       cost += delta;
+      for (std::size_t i = 0; i < affected.size(); ++i) {
+        net_costs[static_cast<std::size_t>(affected[i])] = new_costs[i];
+      }
       report_.moves_accepted += 1;
       if (snapshot_ && report_.moves_accepted % snapshot_every_ == 0) {
         snapshot_(p, report_.moves_accepted, temperature);
@@ -169,6 +174,10 @@ Placement SaPlacer::place() {
   }
 
   report_.final_cost = p.total_cost();
+  for (NetId n = 0; n < netlist_->num_nets(); ++n) {
+    PP_CHECK_MSG(net_costs[static_cast<std::size_t>(n)] == p.net_cost(n),
+                 "stale cached cost for net " << n);
+  }
   p.validate();
   return p;
 }

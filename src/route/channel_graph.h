@@ -8,8 +8,15 @@
 // Block pins enter the fabric through the four channel segments around
 // their tile. This is the graph PathFinder negotiates over, and the per-
 // segment utilization it produces is the paper's ground-truth heat map.
+//
+// The constructor tabulates what the router asks for on every relaxation —
+// capacity, adjacency and each tile's pin channels — once per graph, the way
+// VPR's rr-graph stores its edges flat instead of re-deriving them.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <span>
 #include <vector>
 
 #include "fpga/arch.h"
@@ -64,15 +71,26 @@ class ChannelGraph {
 
   /// Track capacity of a node (channel width for channels, effectively
   /// unbounded for switchboxes, 0 for tiles).
-  Index capacity(NodeId n) const;
+  Index capacity(NodeId n) const { return capacity_[index_of(n)]; }
 
   /// Routing-fabric neighbours of a channel/switch node (tiles excluded).
   /// Returns the count written into `out[0..3]`.
-  int neighbors(NodeId n, NodeId out[4]) const;
+  int neighbors(NodeId n, NodeId out[4]) const {
+    const std::size_t i = index_of(n);
+    PP_CHECK_MSG(degree_[i] >= 0, "tiles are not routing nodes");
+    const std::array<NodeId, 4>& nbrs = neighbors_[i];
+    std::copy(nbrs.begin(), nbrs.end(), out);
+    return degree_[i];
+  }
 
   /// The up-to-4 channel segments surrounding a tile (fewer on the fabric
-  /// edge — the outside of the IO ring has no channels).
-  std::vector<NodeId> tile_pins(const GridLoc& tile) const;
+  /// edge — the outside of the IO ring has no channels), north, south, west,
+  /// east. Valid for the graph's lifetime.
+  std::span<const NodeId> tile_pins(const GridLoc& tile) const {
+    PP_CHECK(arch_->in_grid(tile.x, tile.y));
+    const std::size_t t = static_cast<std::size_t>(tile.y * arch_->width() + tile.x);
+    return {tile_pins_[t].data(), static_cast<std::size_t>(tile_pin_count_[t])};
+  }
 
   NodeId tile_node(const GridLoc& tile) const {
     PP_CHECK(arch_->in_grid(tile.x, tile.y));
@@ -80,8 +98,18 @@ class ChannelGraph {
   }
 
  private:
+  std::size_t index_of(NodeId n) const {
+    PP_CHECK(n >= 0 && n < lw_ * lh_);
+    return static_cast<std::size_t>(n);
+  }
+
   const Arch* arch_;
   Index lw_, lh_;
+  std::vector<Index> capacity_;                  // per node
+  std::vector<std::array<NodeId, 4>> neighbors_;  // per node, first degree_ entries
+  std::vector<std::int8_t> degree_;              // per node; -1 on tiles
+  std::vector<std::array<NodeId, 4>> tile_pins_;  // per tile (y * width + x)
+  std::vector<std::int8_t> tile_pin_count_;      // per tile
 };
 
 }  // namespace paintplace::route

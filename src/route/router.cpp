@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
 
 #include "common/timer.h"
 
@@ -17,6 +17,8 @@ PathFinderRouter::PathFinderRouter(const ChannelGraph& graph, RouterOptions opti
   dist_.assign(n, 0.0);
   prev_.assign(n, -1);
   visit_epoch_.assign(n, 0);
+  node_sinks_.assign(n, {-1, -1});
+  node_sinks_epoch_.assign(n, 0);
 }
 
 void PathFinderRouter::rip_up(NetId net) {
@@ -41,25 +43,44 @@ void PathFinderRouter::route_net(const NetTask& task, double pres_fac) {
   std::vector<NodeId>& tree = trees_[static_cast<std::size_t>(task.id)];
   PP_CHECK(tree.empty());
 
-  // Sinks reached when we touch any pin channel of their tile; precompute.
-  std::vector<std::vector<NodeId>> sink_pins;
-  sink_pins.reserve(task.sink_tiles.size());
-  for (NodeId sink_tile : task.sink_tiles) {
+  // Sinks reached when we touch any pin channel of their tile: tabulate which
+  // sinks each node reaches, lowest sink index first.
+  sinks_epoch_ += 1;
+  for (std::size_t s = 0; s < task.sink_tiles.size(); ++s) {
+    const NodeId sink_tile = task.sink_tiles[s];
     const Index tx = (graph_->lx_of(sink_tile) - 1) / 2;
     const Index ty = (graph_->ly_of(sink_tile) - 1) / 2;
-    sink_pins.push_back(graph_->tile_pins(fpga::GridLoc{tx, ty, 0}));
+    for (NodeId pin : graph_->tile_pins(fpga::GridLoc{tx, ty, 0})) {
+      const std::size_t i = static_cast<std::size_t>(pin);
+      std::array<std::int32_t, 2>& slots = node_sinks_[i];
+      if (node_sinks_epoch_[i] != sinks_epoch_) {
+        node_sinks_epoch_[i] = sinks_epoch_;
+        slots = {static_cast<std::int32_t>(s), -1};
+      } else {
+        PP_CHECK_MSG(slots[1] < 0, "channel segment borders more than two sink tiles");
+        slots[1] = static_cast<std::int32_t>(s);
+      }
+    }
   }
+  std::vector<bool> sink_done(task.sink_tiles.size(), false);
+  // Lowest-index unfinished sink whose tile `n` borders, or -1.
+  auto sink_reached_at = [&](NodeId n) -> std::int32_t {
+    const std::size_t i = static_cast<std::size_t>(n);
+    if (node_sinks_epoch_[i] != sinks_epoch_) return -1;
+    for (const std::int32_t s : node_sinks_[i]) {
+      if (s >= 0 && !sink_done[static_cast<std::size_t>(s)]) return s;
+    }
+    return -1;
+  };
 
   const Index src_tx = (graph_->lx_of(task.source_tile) - 1) / 2;
   const Index src_ty = (graph_->ly_of(task.source_tile) - 1) / 2;
-  const std::vector<NodeId> source_pins = graph_->tile_pins(fpga::GridLoc{src_tx, src_ty, 0});
-
-  std::vector<bool> sink_done(task.sink_tiles.size(), false);
-  using QEntry = std::pair<double, NodeId>;
+  const std::span<const NodeId> source_pins =
+      graph_->tile_pins(fpga::GridLoc{src_tx, src_ty, 0});
 
   for (std::size_t remaining = task.sink_tiles.size(); remaining > 0; --remaining) {
     epoch_ += 1;
-    std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
+    heap_.clear();
     auto relax = [&](NodeId n, double d, NodeId from) {
       if (visit_epoch_[static_cast<std::size_t>(n)] == epoch_ &&
           dist_[static_cast<std::size_t>(n)] <= d) {
@@ -68,7 +89,8 @@ void PathFinderRouter::route_net(const NetTask& task, double pres_fac) {
       visit_epoch_[static_cast<std::size_t>(n)] = epoch_;
       dist_[static_cast<std::size_t>(n)] = d;
       prev_[static_cast<std::size_t>(n)] = from;
-      queue.push({d, n});
+      heap_.emplace_back(d, n);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     };
     // Reaching the next sink is free from anywhere on the already-committed
     // tree (re-use within a net costs nothing); the very first path instead
@@ -80,25 +102,20 @@ void PathFinderRouter::route_net(const NetTask& task, double pres_fac) {
     }
 
     NodeId reached = -1;
-    std::size_t reached_sink = 0;
-    while (!queue.empty()) {
-      const auto [d, n] = queue.top();
-      queue.pop();
+    std::int32_t reached_sink = -1;
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const auto [d, n] = heap_.back();
+      heap_.pop_back();
       if (visit_epoch_[static_cast<std::size_t>(n)] != epoch_ ||
           d > dist_[static_cast<std::size_t>(n)]) {
         continue;
       }
-      bool done = false;
-      for (std::size_t s = 0; s < sink_pins.size(); ++s) {
-        if (sink_done[s]) continue;
-        if (std::find(sink_pins[s].begin(), sink_pins[s].end(), n) != sink_pins[s].end()) {
-          reached = n;
-          reached_sink = s;
-          done = true;
-          break;
-        }
+      reached_sink = sink_reached_at(n);
+      if (reached_sink >= 0) {
+        reached = n;
+        break;
       }
-      if (done) break;
       NodeId nbr[4];
       const int deg = graph_->neighbors(n, nbr);
       for (int i = 0; i < deg; ++i) {
@@ -106,7 +123,7 @@ void PathFinderRouter::route_net(const NetTask& task, double pres_fac) {
       }
     }
     PP_CHECK_MSG(reached >= 0, "maze route failed: disconnected fabric?");
-    sink_done[reached_sink] = true;
+    sink_done[static_cast<std::size_t>(reached_sink)] = true;
 
     // Commit the path: walk predecessors until a seed (prev < 0). Nodes
     // already on the tree (seeds of later sinks) are not double-counted.

@@ -61,6 +61,14 @@ class PathFinderRouter {
   std::vector<NodeId> prev_;
   std::vector<std::uint32_t> visit_epoch_;
   std::uint32_t epoch_ = 0;
+  std::vector<std::pair<double, NodeId>> heap_;  // min-heap under std::greater<>
+
+  // Node -> sinks of the net being routed whose tile it borders. A channel
+  // segment borders at most two tiles, so two slots, filled in sink order
+  // (-1 when empty); stamped with the net's epoch instead of cleared.
+  std::vector<std::array<std::int32_t, 2>> node_sinks_;
+  std::vector<std::uint32_t> node_sinks_epoch_;
+  std::uint32_t sinks_epoch_ = 0;
 };
 
 }  // namespace paintplace::route

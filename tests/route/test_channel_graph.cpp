@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace paintplace::route {
 namespace {
 
@@ -116,6 +118,76 @@ TEST(ChannelGraph, TileNodeRoundTrip) {
   EXPECT_EQ(g.lx_of(n), 7);
   EXPECT_EQ(g.ly_of(n), 5);
   EXPECT_EQ(g.kind(n), NodeKind::kTile);
+}
+
+// The graph's precomputed tables against the lattice rule, written out here
+// independently of the implementation, on every node of several fabrics
+// (3x3 tiles is the smallest legal arch).
+TEST(ChannelGraph, TablesFollowTheLatticeParityRule) {
+  for (const auto& [cols, rows] : std::vector<std::pair<Index, Index>>{
+           {1, 1}, {1, 2}, {2, 1}, {3, 3}, {4, 7}, {9, 5}}) {
+    fpga::ArchParams params;
+    params.channel_width = 7;
+    const Arch arch(cols, rows, params);
+    const ChannelGraph g(arch);
+    const Index lw = 2 * (cols + 2) + 1, lh = 2 * (rows + 2) + 1;
+    ASSERT_EQ(g.lattice_width(), lw);
+    ASSERT_EQ(g.lattice_height(), lh);
+    // A node is a routing resource unless both coordinates are odd (a tile)
+    // or it sits on the outermost ring.
+    auto routable = [&](Index x, Index y) {
+      if (x < 0 || y < 0 || x >= lw || y >= lh) return false;
+      if (x % 2 == 1 && y % 2 == 1) return false;
+      return x != 0 && y != 0 && x != lw - 1 && y != lh - 1;
+    };
+    auto expect_nodes = [&](std::vector<std::pair<Index, Index>> cands) {
+      std::vector<NodeId> out;
+      for (const auto& [x, y] : cands) {
+        if (routable(x, y)) out.push_back(y * lw + x);
+      }
+      return out;
+    };
+    for (Index ly = 0; ly < lh; ++ly) {
+      for (Index lx = 0; lx < lw; ++lx) {
+        SCOPED_TRACE(::testing::Message() << cols << "x" << rows << " arch, node (" << lx
+                                          << "," << ly << ")");
+        const NodeId n = g.node_at(lx, ly);
+        const bool odd_x = lx % 2 == 1, odd_y = ly % 2 == 1;
+        NodeId nbr[4];
+        if (odd_x && odd_y) {  // tile
+          EXPECT_EQ(g.capacity(n), 0);
+          EXPECT_THROW(g.neighbors(n, nbr), CheckError);
+          continue;
+        }
+        // Horizontal channels (odd x, even y) join the switchboxes left and
+        // right; vertical channels (even x, odd y) the ones above and below;
+        // switchboxes (even, even) join all four channels around them.
+        std::vector<NodeId> want;
+        if (odd_x) {
+          want = expect_nodes({{lx - 1, ly}, {lx + 1, ly}});
+        } else if (odd_y) {
+          want = expect_nodes({{lx, ly - 1}, {lx, ly + 1}});
+        } else {
+          want = expect_nodes({{lx - 1, ly}, {lx + 1, ly}, {lx, ly - 1}, {lx, ly + 1}});
+        }
+        const int deg = g.neighbors(n, nbr);
+        EXPECT_EQ(std::vector<NodeId>(nbr, nbr + deg), want);
+        const Index cap = !routable(lx, ly) ? 0 : (odd_x || odd_y) ? 7 : 4 * 7;
+        EXPECT_EQ(g.capacity(n), cap);
+      }
+    }
+    // A tile's pins are its routable north, south, west and east channels.
+    for (Index y = 0; y < arch.height(); ++y) {
+      for (Index x = 0; x < arch.width(); ++x) {
+        const Index lx = 2 * x + 1, ly = 2 * y + 1;
+        const auto pins = g.tile_pins(GridLoc{x, y, 0});
+        EXPECT_EQ(std::vector<NodeId>(pins.begin(), pins.end()),
+                  expect_nodes({{lx, ly - 1}, {lx, ly + 1}, {lx - 1, ly}, {lx + 1, ly}}))
+            << cols << "x" << rows << " arch, tile (" << x << "," << y << ")";
+      }
+    }
+    EXPECT_THROW(g.tile_pins(GridLoc{arch.width(), 0, 0}), CheckError);
+  }
 }
 
 TEST(ChannelGraph, EveryRoutablePairIsConnected) {
