@@ -50,9 +50,12 @@ NetId Netlist::add_net(std::string net_name, BlockId driver, std::vector<BlockId
   const NetId id = num_nets();
   nets_.push_back(Net{id, std::move(net_name), driver, std::move(sinks)});
   nets_of_block_[static_cast<std::size_t>(driver)].push_back(id);
+  pins_.push_back(driver);
   for (BlockId s : nets_.back().sinks) {
     nets_of_block_[static_cast<std::size_t>(s)].push_back(id);
+    pins_.push_back(s);
   }
+  pin_begin_.push_back(pins_.size());
   return id;
 }
 

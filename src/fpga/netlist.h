@@ -5,6 +5,7 @@
 // Nets are hyperedges: one driver block, one or more sink blocks.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,15 @@ class Netlist {
   const std::vector<Block>& blocks() const { return blocks_; }
   const std::vector<Net>& nets() const { return nets_; }
 
+  /// Every pin of a net: its driver first, then its sinks in ascending order
+  /// (the same blocks as `net(id)`), as a view into one array that holds
+  /// the pins of all nets back to back. Valid until the next add_net.
+  std::span<const BlockId> pins(NetId id) const {
+    PP_CHECK_MSG(id >= 0 && id < num_nets(), "bad net id " << id);
+    const std::size_t begin = pin_begin_[static_cast<std::size_t>(id)];
+    return {pins_.data() + begin, pin_begin_[static_cast<std::size_t>(id) + 1] - begin};
+  }
+
   /// Nets a block participates in (as driver or sink).
   const std::vector<NetId>& nets_of(BlockId id) const {
     PP_CHECK(id >= 0 && id < num_blocks());
@@ -108,6 +118,8 @@ class Netlist {
   std::vector<Block> blocks_;
   std::vector<Net> nets_;
   std::vector<std::vector<NetId>> nets_of_block_;
+  std::vector<BlockId> pins_;              // net by net: driver, then sinks
+  std::vector<std::size_t> pin_begin_{0};  // net id -> offset into pins_, plus the end
 };
 
 }  // namespace paintplace::fpga

@@ -84,26 +84,30 @@ void Placement::swap(BlockId a, BlockId b) {
   occupancy_[slot_key(lb)] = a;
 }
 
-BBox Placement::net_bbox(NetId n) const {
-  const fpga::Net& net = netlist_->net(n);
-  const GridLoc d = loc(net.driver);
-  PP_CHECK_MSG(d.valid(), "net bbox over unplaced netlist");
+BBox Placement::bbox_of(std::span<const BlockId> pins) const {
+  // Pin ids were range-checked by Netlist::add_net and locs_ has one entry
+  // per block, so index directly. An unplaced block sits at x = y = -1 and
+  // drags the minimum below zero: one check after the loop covers every pin.
+  const GridLoc* locs = locs_.data();
+  const GridLoc& d = locs[pins.front()];
   BBox bb{d.x, d.x, d.y, d.y};
-  for (BlockId s : net.sinks) {
-    const GridLoc l = loc(s);
-    PP_CHECK(l.valid());
+  for (const BlockId b : pins.subspan(1)) {
+    const GridLoc& l = locs[b];
     bb.xmin = std::min(bb.xmin, l.x);
     bb.xmax = std::max(bb.xmax, l.x);
     bb.ymin = std::min(bb.ymin, l.y);
     bb.ymax = std::max(bb.ymax, l.y);
   }
+  PP_CHECK_MSG(bb.xmin >= 0 && bb.ymin >= 0, "net bbox over unplaced netlist");
   return bb;
 }
 
+BBox Placement::net_bbox(NetId n) const { return bbox_of(netlist_->pins(n)); }
+
 double Placement::net_cost(NetId n) const {
-  const fpga::Net& net = netlist_->net(n);
-  return crossing_factor(net.pin_count()) *
-         static_cast<double>(net_bbox(n).half_perimeter());
+  const std::span<const BlockId> pins = netlist_->pins(n);
+  return crossing_factor(static_cast<Index>(pins.size())) *
+         static_cast<double>(bbox_of(pins).half_perimeter());
 }
 
 double Placement::total_cost() const {

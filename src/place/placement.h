@@ -2,6 +2,7 @@
 // architecture slot, with incremental HPWL bookkeeping for the annealer.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -67,6 +68,7 @@ class Placement {
 
  private:
   std::size_t slot_key(const GridLoc& slot) const;
+  BBox bbox_of(std::span<const BlockId> pins) const;
 
   const Arch* arch_;
   const Netlist* netlist_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace paintplace::place {
 
@@ -81,13 +82,18 @@ Placement SaPlacer::place() {
     if (!found) return false;
 
     const BlockId occupant = p.block_at(to);
-    affected.assign(netlist_->nets_of(b).begin(), netlist_->nets_of(b).end());
+    // nets_of lists are sorted and unique (nets are added in id order), so
+    // merging the two and dropping shared nets gives the sorted union.
+    const std::vector<NetId>& nets_b = netlist_->nets_of(b);
     if (occupant >= 0) {
-      affected.insert(affected.end(), netlist_->nets_of(occupant).begin(),
-                      netlist_->nets_of(occupant).end());
+      const std::vector<NetId>& nets_o = netlist_->nets_of(occupant);
+      affected.clear();
+      std::merge(nets_b.begin(), nets_b.end(), nets_o.begin(), nets_o.end(),
+                 std::back_inserter(affected));
+      affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
+    } else {
+      affected.assign(nets_b.begin(), nets_b.end());
     }
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
     double before = 0.0;
     for (NetId n : affected) before += net_costs[static_cast<std::size_t>(n)];
     if (occupant >= 0) {

@@ -11,6 +11,11 @@ namespace paintplace::route {
 PathFinderRouter::PathFinderRouter(const ChannelGraph& graph, RouterOptions options)
     : graph_(&graph), options_(options) {
   PP_CHECK(options_.max_iterations >= 1);
+  // Keeps every node cost (1 + h * history) * (1 + p * overuse) at or above
+  // 1, which the bucket queue in route_net relies on.
+  PP_CHECK(options_.history_factor >= 0.0);
+  PP_CHECK(options_.present_factor >= 0.0);
+  PP_CHECK(options_.present_growth >= 0.0);
   const std::size_t n = static_cast<std::size_t>(graph.num_nodes());
   occupancy_.assign(n, 0);
   history_.assign(n, 0.0);
@@ -19,6 +24,7 @@ PathFinderRouter::PathFinderRouter(const ChannelGraph& graph, RouterOptions opti
   visit_epoch_.assign(n, 0);
   node_sinks_.assign(n, {-1, -1});
   node_sinks_epoch_.assign(n, 0);
+  buckets_.resize(kBucketRange);
 }
 
 void PathFinderRouter::rip_up(NetId net) {
@@ -80,7 +86,9 @@ void PathFinderRouter::route_net(const NetTask& task, double pres_fac) {
 
   for (std::size_t remaining = task.sink_tiles.size(); remaining > 0; --remaining) {
     epoch_ += 1;
-    heap_.clear();
+    overflow_.clear();
+    std::size_t next_bucket = 0;  // first bucket whose draining has not begun
+    std::size_t top_bucket = 0;   // highest bucket holding an entry
     auto relax = [&](NodeId n, double d, NodeId from) {
       if (visit_epoch_[static_cast<std::size_t>(n)] == epoch_ &&
           dist_[static_cast<std::size_t>(n)] <= d) {
@@ -89,8 +97,15 @@ void PathFinderRouter::route_net(const NetTask& task, double pres_fac) {
       visit_epoch_[static_cast<std::size_t>(n)] = epoch_;
       dist_[static_cast<std::size_t>(n)] = d;
       prev_[static_cast<std::size_t>(n)] = from;
-      heap_.emplace_back(d, n);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      if (d < static_cast<double>(kBucketRange)) {
+        const auto b = static_cast<std::size_t>(d);
+        PP_CHECK_MSG(b >= next_bucket, "node cost below 1 pushed into a drained bucket");
+        buckets_[b].emplace_back(d, n);
+        top_bucket = std::max(top_bucket, b);
+      } else {
+        overflow_.emplace_back(d, n);
+        std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+      }
     };
     // Reaching the next sink is free from anywhere on the already-committed
     // tree (re-use within a net costs nothing); the very first path instead
@@ -103,24 +118,39 @@ void PathFinderRouter::route_net(const NetTask& task, double pres_fac) {
 
     NodeId reached = -1;
     std::int32_t reached_sink = -1;
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      const auto [d, n] = heap_.back();
-      heap_.pop_back();
+    // Settles `n` unless the entry is stale; true once it reaches a sink.
+    auto visit = [&](double d, NodeId n) -> bool {
       if (visit_epoch_[static_cast<std::size_t>(n)] != epoch_ ||
           d > dist_[static_cast<std::size_t>(n)]) {
-        continue;
+        return false;
       }
       reached_sink = sink_reached_at(n);
       if (reached_sink >= 0) {
         reached = n;
-        break;
+        return true;
       }
       NodeId nbr[4];
       const int deg = graph_->neighbors(n, nbr);
       for (int i = 0; i < deg; ++i) {
         relax(nbr[i], d + node_cost(nbr[i]), n);
       }
+      return false;
+    };
+    for (std::size_t b = 0; b <= top_bucket && reached < 0; ++b) {
+      next_bucket = b + 1;
+      std::vector<std::pair<double, NodeId>>& bucket = buckets_[b];
+      std::sort(bucket.begin(), bucket.end());
+      for (const auto& [d, n] : bucket) {
+        if (visit(d, n)) break;
+      }
+    }
+    for (std::size_t b = 0; b <= top_bucket; ++b) buckets_[b].clear();
+    next_bucket = kBucketRange;
+    while (reached < 0 && !overflow_.empty()) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+      const auto [d, n] = overflow_.back();
+      overflow_.pop_back();
+      visit(d, n);
     }
     PP_CHECK_MSG(reached >= 0, "maze route failed: disconnected fabric?");
     sink_done[static_cast<std::size_t>(reached_sink)] = true;

@@ -61,7 +61,18 @@ class PathFinderRouter {
   std::vector<NodeId> prev_;
   std::vector<std::uint32_t> visit_epoch_;
   std::uint32_t epoch_ = 0;
-  std::vector<std::pair<double, NodeId>> heap_;  // min-heap under std::greater<>
+
+  // Maze-search queue. Every node cost is >= 1, so visiting distance d
+  // pushes only distances >= d + 1: bucket floor(d) receives nothing once
+  // its draining begins, and draining each bucket sorted by (d, node) visits
+  // entries in exactly the order a min-heap over (d, node) pops them.
+  // Distances >= kBucketRange go to the `overflow_` min-heap (under
+  // std::greater<>), drained after the buckets: the bucket array stays a
+  // fixed size while pres_fac grows round after round on a fabric that
+  // does not route.
+  static constexpr std::size_t kBucketRange = 1024;
+  std::vector<std::vector<std::pair<double, NodeId>>> buckets_;  // kBucketRange buckets
+  std::vector<std::pair<double, NodeId>> overflow_;
 
   // Node -> sinks of the net being routed whose tile it borders. A channel
   // segment borders at most two tiles, so two slots, filled in sink order

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "fpga/netgen.h"
+
 namespace paintplace::fpga {
 namespace {
 
@@ -60,6 +64,44 @@ TEST(Netlist, InvalidIdsRejected) {
   EXPECT_THROW(nl.add_net("n", a, {99}), CheckError);
   EXPECT_THROW(nl.block(99), CheckError);
   EXPECT_THROW(nl.net(0), CheckError);
+}
+
+TEST(Netlist, PinsListDriverThenSortedSinks) {
+  Netlist nl("p");
+  const BlockId a = nl.add_block(BlockKind::kClb, "a");
+  const BlockId b = nl.add_block(BlockKind::kClb, "b");
+  const BlockId c = nl.add_block(BlockKind::kClb, "c");
+  const NetId n0 = nl.add_net("n0", b, {c, a, b, c});
+  const NetId n1 = nl.add_net("n1", c, {a});
+  const std::vector<BlockId> p0(nl.pins(n0).begin(), nl.pins(n0).end());
+  const std::vector<BlockId> p1(nl.pins(n1).begin(), nl.pins(n1).end());
+  EXPECT_EQ(p0, (std::vector<BlockId>{b, a, c}));
+  EXPECT_EQ(p1, (std::vector<BlockId>{c, a}));
+  EXPECT_THROW(nl.pins(2), CheckError);
+  EXPECT_THROW(nl.pins(-1), CheckError);
+}
+
+TEST(Netlist, PinsMatchNetsOfAGeneratedDesign) {
+  DesignSpec spec;
+  spec.name = "pins";
+  spec.num_luts = 120;
+  spec.num_ffs = 40;
+  spec.num_nets = 300;
+  spec.num_inputs = 8;
+  spec.num_outputs = 6;
+  const Netlist nl = generate_packed(spec, NetgenParams{}, 3);
+  ASSERT_GT(nl.num_nets(), 0);
+  for (const Net& net : nl.nets()) {
+    const std::span<const BlockId> pins = nl.pins(net.id);
+    ASSERT_EQ(static_cast<Index>(pins.size()), net.pin_count());
+    EXPECT_EQ(pins.front(), net.driver);
+    const std::span<const BlockId> sinks = pins.subspan(1);
+    EXPECT_TRUE(std::adjacent_find(sinks.begin(), sinks.end(),
+                                   [](BlockId x, BlockId y) { return x >= y; }) == sinks.end())
+        << "sinks of net " << net.id << " are not strictly ascending";
+    EXPECT_TRUE(std::find(sinks.begin(), sinks.end(), net.driver) == sinks.end());
+    EXPECT_TRUE(std::equal(sinks.begin(), sinks.end(), net.sinks.begin(), net.sinks.end()));
+  }
 }
 
 TEST(Netlist, PinCount) {

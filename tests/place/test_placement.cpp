@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fpga/netgen.h"
 
 namespace paintplace::place {
@@ -153,6 +155,33 @@ TEST(Placement, SingleTileNetHasZeroHpwl) {
     const BBox bb = p.net_bbox(n.id);
     if (bb.half_perimeter() == 0) {
       EXPECT_EQ(p.net_cost(n.id), 0.0);
+    }
+  }
+}
+
+TEST(Placement, NetBboxAndCostRejectAnUnplacedPin) {
+  Fixture f;
+  Placement full(f.arch, f.nl);
+  Rng rng(23);
+  full.random_init(rng);
+  // Leave out, in turn, a net's driver and its last sink (the pin the cost
+  // loop reads last); place every other block where `full` has it.
+  const fpga::Net& net = f.nl.net(0);
+  for (const fpga::BlockId missing : {net.driver, net.sinks.back()}) {
+    Placement p(f.arch, f.nl);
+    for (const fpga::Block& b : f.nl.blocks()) {
+      if (b.id != missing) p.move(b.id, full.loc(b.id));
+    }
+    EXPECT_FALSE(p.is_placed());
+    EXPECT_THROW(p.net_bbox(net.id), CheckError);
+    EXPECT_THROW(p.net_cost(net.id), CheckError);
+    for (const NetId n : f.nl.nets_of(missing)) {
+      EXPECT_THROW(p.net_cost(n), CheckError);
+    }
+    for (const fpga::Net& other : f.nl.nets()) {
+      const auto& nets = f.nl.nets_of(missing);
+      if (std::find(nets.begin(), nets.end(), other.id) != nets.end()) continue;
+      EXPECT_EQ(p.net_cost(other.id), full.net_cost(other.id));
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "fpga/netgen.h"
@@ -156,6 +157,28 @@ TEST(Router, TightChannelsCauseNegotiationRounds) {
   // With width 2 the fabric is genuinely scarce; utilization must be higher.
   EXPECT_GT(tight.congestion.stats().mean_utilization,
             loose.congestion.stats().mean_utilization);
+}
+
+TEST(Router, RejectsOptionsThatMakeNodeCostsBelowOne) {
+  // The maze search's bucket queue needs every node cost >= 1, which holds
+  // exactly when no cost factor is negative.
+  const Arch arch(4, 4);
+  const ChannelGraph graph(arch);
+  EXPECT_NO_THROW(PathFinderRouter(graph, RouterOptions{}));
+  RouterOptions zero;
+  zero.history_factor = 0.0;
+  zero.present_factor = 0.0;
+  zero.present_growth = 0.0;
+  EXPECT_NO_THROW(PathFinderRouter(graph, zero));
+  for (double RouterOptions::*field : {&RouterOptions::history_factor,
+                                        &RouterOptions::present_factor,
+                                        &RouterOptions::present_growth}) {
+    for (const double bad : {-0.1, std::nan("")}) {
+      RouterOptions opt;
+      opt.*field = bad;
+      EXPECT_THROW(PathFinderRouter(graph, opt), CheckError) << bad;
+    }
+  }
 }
 
 TEST(Router, WirelengthPositiveAndConsistent) {
